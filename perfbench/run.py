@@ -26,7 +26,7 @@ import sys
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-WORKLOADS = ("tpch_sf1", "micro_sweep", "serving_mix", "jit_cold")
+WORKLOADS = ("tpch_sf1", "micro_sweep")
 RUN_TIMEOUT_S = 175
 
 

@@ -6,12 +6,13 @@
 Runs three short benchmark runs through perfbench/run.py and checks that
 failures are counted, never reported as successes:
 
-  1. jit_cold with jit_compile:1.0 armed: every JIT operation falls back to
-     the interpreter, so failed == the JIT operations attempted and
-     error_rate is their share of all operations.
-  2. serving_mix with admission_reject:0.05 armed: every injected rejection
+  1. micro_sweep, traced, with jit_compile:1.0 armed: every operation of
+     the traced run's JIT pass falls back to the interpreter, so failed ==
+     the JIT operations attempted and error_rate is their share of all
+     operations.
+  2. micro_sweep with admission_reject:0.05 armed: every injected rejection
      is one failed operation (failed == injections) and the run completes.
-  3. serving_mix with one reference answer corrupted: results compared
+  3. micro_sweep with one reference answer corrupted: results compared
      against it count as mismatches, so correct is false.
 
 Faults are armed for the measured pass only (set-up and the reference
@@ -28,9 +29,10 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def run(workload, seconds, extra):
+def run(workload, seconds, extra, trace=0):
     cmd = [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload,
-           "--seed", "1", "--seconds", str(seconds), "--trace", "0"] + extra
+           "--seed", "1", "--seconds", str(seconds), "--trace", str(trace)]
+    cmd += extra
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         return None, f"exit code {proc.returncode}: {proc.stderr[-400:]}"
@@ -47,34 +49,35 @@ def main():
     args = parser.parse_args()
     results = []
 
-    record, err = run("jit_cold", args.seconds, ["--fault", "jit_compile:1.0"])
+    record, err = run("micro_sweep", args.seconds,
+                      ["--fault", "jit_compile:1.0"], trace=1)
     if record is None:
-        results.append(("jit_compile:1.0 on jit_cold", False, err))
+        results.append(("jit_compile:1.0 on micro_sweep", False, err))
     else:
         jit_ops = int(record["context"]["notes"]["jit_operations"])
         share = jit_ops / record["attempted"]
         ok = (record["correct"] and jit_ops > 0 and
               record["failed"] == jit_ops and
               abs(record["error_rate"] - share) < 1e-12)
-        results.append(("jit_compile:1.0 on jit_cold", ok,
+        results.append(("jit_compile:1.0 on micro_sweep", ok,
                         f"failed={record['failed']} jit_operations={jit_ops} "
                         f"error_rate={record['error_rate']:.4f} "
                         f"injected share={share:.4f}"))
 
-    record, err = run("serving_mix", args.seconds,
+    record, err = run("micro_sweep", args.seconds,
                       ["--fault", "admission_reject:0.05"])
     if record is None:
-        results.append(("admission_reject:0.05 on serving_mix", False, err))
+        results.append(("admission_reject:0.05 on micro_sweep", False, err))
     else:
         injected = record["fault_injected"]
         ok = (record["correct"] and injected > 0 and
               record["failed"] == injected)
-        results.append(("admission_reject:0.05 on serving_mix", ok,
+        results.append(("admission_reject:0.05 on micro_sweep", ok,
                         f"failed={record['failed']} injected={injected} "
                         f"attempted={record['attempted']} "
                         f"error_rate={record['error_rate']:.4f}"))
 
-    record, err = run("serving_mix", args.seconds, ["--corrupt-oracle"])
+    record, err = run("micro_sweep", args.seconds, ["--corrupt-oracle"])
     if record is None:
         results.append(("corrupted reference answer", False, err))
     else:

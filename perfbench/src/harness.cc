@@ -408,16 +408,19 @@ bool RunCell(std::vector<Cell>& cells, int index, bool on_traced_twin,
   return true;
 }
 
-void RunRound(std::vector<Cell>& cells, swole::Rng* rng, bool traced,
-              PassStats* stats, int64_t deadline_ns) {
-  ProbeHost();
-  std::vector<int> order(cells.size());
+std::vector<int> ShuffledOrder(size_t n, swole::Rng* rng) {
+  std::vector<int> order(n);
   std::iota(order.begin(), order.end(), 0);
   for (size_t i = order.size(); i > 1; --i) {
     std::swap(order[i - 1], order[rng->NextBounded(i)]);
   }
-  for (int index : order) {
-    if (deadline_ns > 0 && NowNs() >= deadline_ns) break;
+  return order;
+}
+
+void RunRound(std::vector<Cell>& cells, swole::Rng* rng, bool traced,
+              PassStats* stats) {
+  ProbeHost();
+  for (int index : ShuffledOrder(cells.size(), rng)) {
     double ms = 0;
     if (!RunCell(cells, index, traced, &ms)) continue;
     ++stats->executed;
@@ -434,10 +437,8 @@ PassStats RunRounds(std::vector<Cell>& cells, swole::Rng* rng, double seconds,
   const int64_t start = NowNs();
   const int64_t deadline = start + static_cast<int64_t>(seconds * 1e9);
   for (int round = 0; max_rounds <= 0 || round < max_rounds; ++round) {
-    const bool may_stop = round >= min_rounds;
-    if (may_stop && NowNs() >= deadline) break;
-    RunRound(cells, rng, alternate_traced && round % 2 == 1, &stats,
-             may_stop ? deadline : 0);
+    if (round >= min_rounds && NowNs() >= deadline) break;
+    RunRound(cells, rng, alternate_traced && round % 2 == 1, &stats);
   }
   stats.seconds = static_cast<double>(NowNs() - start) / 1e9;
   return stats;
@@ -519,10 +520,22 @@ void ReportLatencyMetrics(const PassStats& pass, Report* report) {
   const auto n = static_cast<int64_t>(pass.latencies_ms.size());
   report->EndToEnd("qps", pass.seconds > 0 ? pass.ops / pass.seconds : 0,
                    "1/s", n);
-  report->EndToEnd("latency_p50_ms", Quantile(pass.latencies_ms, 0.50), "ms",
+  // p90: a pass of a few hundred operations leaves at least ten samples
+  // beyond it on every workload; p99 would rest on two or three.
+  report->EndToEnd("latency_p90_ms", Quantile(pass.latencies_ms, 0.90), "ms",
                    n);
-  report->EndToEnd("latency_p99_ms", Quantile(pass.latencies_ms, 0.99), "ms",
-                   n);
+}
+
+void ReportColdMs(const std::vector<std::vector<double>>& cold,
+                  Report* report) {
+  std::vector<double> medians;
+  int64_t samples = 0;
+  for (const std::vector<double>& cell : cold) {
+    if (cell.empty()) continue;
+    medians.push_back(Median(cell));
+    samples += static_cast<int64_t>(cell.size());
+  }
+  report->EndToEnd("cold_ms", Geomean(medians), "ms", samples);
 }
 
 void ReportStrategyGeomeans(const std::vector<Cell>& cells, Report* report) {
@@ -628,14 +641,6 @@ void ReportSteals(const CounterSnapshot& before, const CounterSnapshot& after,
                 static_cast<double>(after.Delta(before, "scheduler.steals")) /
                     static_cast<double>(std::max<int64_t>(ops, 1)),
                 "count", ops);
-}
-
-std::vector<double> CellMedians(const std::vector<Cell>& cells) {
-  std::vector<double> medians;
-  for (const Cell& cell : cells) {
-    if (!cell.ms.empty()) medians.push_back(Median(cell.ms));
-  }
-  return medians;
 }
 
 double TraceOverheadPct(const std::vector<Cell>& cells) {

@@ -230,15 +230,18 @@ bool RunCell(std::vector<Cell>& cells, int index, bool on_traced_twin,
 
 /// Runs every cell once on its engine, then once on its traced twin (the
 /// first execution on a fresh engine: plan analysis, first-touch
-/// allocation). Returns the untraced first-execution latencies and drops
-/// every warm-up sample from the cells. `after_each(i)` runs after cell i's
-/// untraced execution.
+/// allocation). Appends cell i's untraced first-execution latency to
+/// `(*cold)[i]` (nothing when it failed), so a workload that sets up several
+/// times collects one sample per cell and set-up, and drops every warm-up
+/// sample from the cells. `after_each(i)` runs after cell i's untraced
+/// execution.
 template <typename Fn>
-std::vector<double> WarmUp(std::vector<Cell>& cells, Fn&& after_each) {
-  std::vector<double> first;
+void WarmUp(std::vector<Cell>& cells, std::vector<std::vector<double>>* cold,
+            Fn&& after_each) {
+  cold->resize(cells.size());
   for (int i = 0; i < static_cast<int>(cells.size()); ++i) {
     double ms = 0;
-    if (RunCell(cells, i, false, &ms)) first.push_back(ms);
+    if (RunCell(cells, i, false, &ms)) (*cold)[i].push_back(ms);
     after_each(i);
   }
   for (int i = 0; i < static_cast<int>(cells.size()); ++i) {
@@ -246,7 +249,6 @@ std::vector<double> WarmUp(std::vector<Cell>& cells, Fn&& after_each) {
     cells[i].ms.clear();
     cells[i].traced_ms.clear();
   }
-  return first;
 }
 
 struct PassStats {
@@ -256,15 +258,19 @@ struct PassStats {
   std::vector<double> latencies_ms;  // untraced, successful
 };
 
-/// One round over `cells` in a fresh seeded order, on the traced twins when
-/// `traced`, stopping early at `deadline_ns` (0 = none).
-void RunRound(std::vector<Cell>& cells, swole::Rng* rng, bool traced,
-              PassStats* stats, int64_t deadline_ns = 0);
+/// 0..n-1 in a fresh order drawn from `rng`.
+std::vector<int> ShuffledOrder(size_t n, swole::Rng* rng);
 
-/// Runs rounds over `cells` in a freshly shuffled order each round, until
+/// One round over `cells` in a fresh seeded order, on the traced twins when
+/// `traced`.
+void RunRound(std::vector<Cell>& cells, swole::Rng* rng, bool traced,
+              PassStats* stats);
+
+/// Runs whole rounds over `cells`, each in a freshly shuffled order, until
 /// `seconds` elapse (at least `min_rounds`, at most `max_rounds` rounds;
-/// max_rounds <= 0 means unbounded). With `alternate_traced`, every second
-/// round runs on the traced twins instead.
+/// max_rounds <= 0 means unbounded). Rounds are never cut short, so every
+/// cell carries the same weight in the pass's latency percentiles. With
+/// `alternate_traced`, every second round runs on the traced twins instead.
 PassStats RunRounds(std::vector<Cell>& cells, swole::Rng* rng, double seconds,
                     int min_rounds, int max_rounds, bool alternate_traced);
 
@@ -314,8 +320,14 @@ class Report {
   std::vector<std::pair<std::string, std::string>> notes_;
 };
 
-/// The end-to-end metrics every workload reports from its main pass.
+/// qps and latency_p90_ms of a workload's measured pass.
 void ReportLatencyMetrics(const PassStats& pass, Report* report);
+/// cold_ms: geometric mean over cells of each cell's median first-execution
+/// latency (WarmUp's `cold`). Like the strategy rows, it weighs every cell
+/// the same, where a median over all first executions would be the latency
+/// of whichever cell sits in the middle.
+void ReportColdMs(const std::vector<std::vector<double>>& cold,
+                  Report* report);
 /// `<strategy>_geomean_ms` for all four strategies.
 void ReportStrategyGeomeans(const std::vector<Cell>& cells, Report* report);
 /// strategies.<s>.{build,probe,merge,extract,self}_ms for all four.
@@ -350,9 +362,6 @@ void ReportCountingPass(const CounterSnapshot& before,
 void ReportSteals(const CounterSnapshot& before, const CounterSnapshot& after,
                   int64_t ops, Report* report);
 
-/// Median of each cell's untraced samples (cells without samples skipped).
-std::vector<double> CellMedians(const std::vector<Cell>& cells);
-
 /// obs.trace_overhead_pct from cells run both untraced and traced:
 /// geometric mean over cells of traced median / untraced median, minus 1.
 double TraceOverheadPct(const std::vector<Cell>& cells);
@@ -364,9 +373,13 @@ inline const swole::StrategyKind kAllKinds[] = {
 // ---- Workloads -----------------------------------------------------------------
 
 void RunTpchSf1(const Args& args, Report* report);
-void RunServingMix(const Args& args, Report* report);
-void RunJitCold(const Args& args, Report* report);
 void RunMicroSweep(const Args& args, Report* report);
+
+/// Traced-run pass over TPC-H SF 0.1 for the codegen.* layer (the shapes
+/// the JIT accepts, each served from an empty kernel cache, then warm) and
+/// the exec entry/admission layer under closed-loop load. Args::fault is
+/// armed for its JIT serves.
+void ReportJitAndAdmissionLayers(const Args& args, Report* report);
 
 }  // namespace perfbench
 

@@ -40,8 +40,6 @@ struct WorkloadEntry {
 constexpr WorkloadEntry kWorkloads[] = {
     {"tpch_sf1", RunTpchSf1},
     {"micro_sweep", RunMicroSweep},
-    {"serving_mix", RunServingMix},
-    {"jit_cold", RunJitCold},
 };
 
 // SWOLE_* variables the benchmark neutralizes by setting the corresponding
@@ -112,9 +110,9 @@ void PrintTable(const char* title,
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --workload {tpch_sf1|micro_sweep|serving_mix|"
-               "jit_cold} [--seed N] [--seconds S] [--trace 0|1] "
-               "[--out-dir DIR] [--corrupt-oracle] [--fault SITE:P,...]\n",
+               "usage: %s --workload {tpch_sf1|micro_sweep} [--seed N] "
+               "[--seconds S] [--trace 0|1] [--out-dir DIR] "
+               "[--corrupt-oracle] [--fault SITE:P,...]\n",
                argv0);
   return 2;
 }

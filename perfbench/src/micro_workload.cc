@@ -4,8 +4,9 @@
 // with spill on. R's int8 columns keep the scans in L3. Q4 and Q6 join the
 // 1M-row S, Q5's groupjoin the 1K-row S (over the 1M-row S one groupjoin
 // execution costs as much as the rest of a round). The traced run adds
-// SWOLE's forced alternatives (cost-model regret) and direct kernel and
-// hash-table calls on R's columns.
+// SWOLE's forced alternatives (cost-model regret), direct kernel and
+// hash-table calls on R's columns, and the JIT and admission pass over
+// TPC-H SF 0.1 (ReportJitAndAdmissionLayers).
 
 #include <algorithm>
 #include <cstdlib>
@@ -351,7 +352,8 @@ void RunMicroSweep(const Args& args, Report* report) {
   std::unique_ptr<MicroInputs> in;
   std::vector<std::unique_ptr<Engine>> owned;
   std::vector<Cell> cells;
-  std::vector<double> setup_s, generate_s, oracle_s, cold_ms;
+  std::vector<double> setup_s, generate_s, oracle_s;
+  std::vector<std::vector<double>> cold_ms;  // per cell, one per set-up
   CounterSnapshot count_before, count_after;
   ChoiceCounts choices;
   int spill_cells = 0;
@@ -373,7 +375,7 @@ void RunMicroSweep(const Args& args, Report* report) {
              budgeted, args.trace && last, &owned, &cells);
     spill_cells = static_cast<int>(cells.size() - before);
     count_before = CounterSnapshot::Take();
-    std::vector<double> first = WarmUp(cells, [&](int c) {
+    WarmUp(cells, &cold_ms, [&](int c) {
       if (last && cells[c].kind == StrategyKind::kSwole) {
         choices.Add(*cells[c].engine->strategy);
       }
@@ -381,7 +383,6 @@ void RunMicroSweep(const Args& args, Report* report) {
         count_after = CounterSnapshot::Take();
       }
     });
-    cold_ms.insert(cold_ms.end(), first.begin(), first.end());
     setup_s.push_back(setup.Stop() / 1e3);
     generate_s.push_back(in->generate_s);
     oracle_s.push_back(in->oracle_s);
@@ -402,10 +403,7 @@ void RunMicroSweep(const Args& args, Report* report) {
   report->EndToEnd("setup_s", Median(setup_s), "s", kSetups);
   ReportLatencyMetrics(pass, report);
   ReportStrategyGeomeans(cells, report);
-  report->EndToEnd("cold_ms", Median(cold_ms), "ms",
-                   static_cast<int64_t>(cold_ms.size()));
-  report->EndToEnd("warm_geomean_ms", Geomean(CellMedians(cells)), "ms",
-                   pass.ops);
+  ReportColdMs(cold_ms, report);
   if (!args.trace) return;
 
   const auto n_setups = static_cast<int64_t>(generate_s.size());
@@ -414,7 +412,6 @@ void RunMicroSweep(const Args& args, Report* report) {
   report->Layer("engine.oracle_s", Median(oracle_s), "s", n_setups);
   ReportStrategyPhases(cells, report);
   const std::vector<Engine*> twins = TracedTwins(cells);
-  ReportEntryMs(twins, report);
   ReportCountingPass(count_before, count_after,
                      static_cast<int64_t>(cells.size()), report);
   ReportSteals(pass_before, pass_after, pass.executed, report);
@@ -463,6 +460,8 @@ void RunMicroSweep(const Args& args, Report* report) {
   report->Layer("cost.regret", CostRegret(*in, &rng), "x",
                 static_cast<int64_t>(in->plans.size()));
   ReportKernelsAndHash(*in, report);
+  // exec.entry_ms comes from its admission window, where it carries weight.
+  ReportJitAndAdmissionLayers(args, report);
 }
 
 }  // namespace perfbench

@@ -1,7 +1,8 @@
-// The three TPC-H workloads: tpch_sf1 (the paper's Fig. 6, out of cache),
-// serving_mix (closed-loop clients sharing one SWOLE engine under
-// admission control, in cache), and jit_cold (JIT compile of every shape
-// the code generator accepts, then warm reruns).
+// The TPC-H workload tpch_sf1 (the paper's Fig. 6, out of cache), and the
+// TPC-H SF 0.1 pass of micro_sweep's traced run that measures the JIT (every
+// shape the code generator accepts, compiled from an empty kernel cache,
+// then served warm) and the entry sequence and admission under closed-loop
+// load.
 
 #include <algorithm>
 #include <memory>
@@ -28,10 +29,9 @@ using swole::Result;
 using swole::Rng;
 using swole::StrategyKind;
 
-// Set-ups per run; setup_s is their median. tpch_sf1 sets up twice: one
-// SF 1 set-up (generation, reference answers, warm-up) takes 8-16 s on a
-// 4-core host, and a third would not fit the run's time budget.
-constexpr int kSetups = 3;
+// Set-ups per run; setup_s is their median. Two: one SF 1 set-up
+// (generation, reference answers, warm-up) takes 12-17 s on a 4-core host,
+// and a third would not fit the run's time budget.
 constexpr int kSf1Setups = 2;
 
 struct TpchInputs {
@@ -102,7 +102,8 @@ void RunTpchSf1(const Args& args, Report* report) {
   std::unique_ptr<TpchInputs> in;
   std::vector<std::unique_ptr<Engine>> owned;
   std::vector<Cell> cells;
-  std::vector<double> setup_s, generate_s, oracle_s, cold_ms;
+  std::vector<double> setup_s, generate_s, oracle_s;
+  std::vector<std::vector<double>> cold_ms;  // per cell, one per set-up
   CounterSnapshot count_before, count_after;
   ChoiceCounts choices;
   for (int i = 0; i < kSf1Setups; ++i) {
@@ -115,7 +116,7 @@ void RunTpchSf1(const Args& args, Report* report) {
     AddCells(in->names, in->plans, in->expected, in->data->catalog,
              ExplicitOptions(4), args.trace && last, &owned, &cells);
     count_before = CounterSnapshot::Take();
-    std::vector<double> first = WarmUp(cells, [&](int c) {
+    WarmUp(cells, &cold_ms, [&](int c) {
       if (last && cells[c].kind == StrategyKind::kSwole) {
         choices.Add(*cells[c].engine->strategy);
       }
@@ -123,7 +124,6 @@ void RunTpchSf1(const Args& args, Report* report) {
         count_after = CounterSnapshot::Take();
       }
     });
-    cold_ms.insert(cold_ms.end(), first.begin(), first.end());
     setup_s.push_back(setup.Stop() / 1e3);
     generate_s.push_back(in->generate_s);
     oracle_s.push_back(in->oracle_s);
@@ -144,10 +144,7 @@ void RunTpchSf1(const Args& args, Report* report) {
   report->EndToEnd("setup_s", Median(setup_s), "s", kSf1Setups);
   ReportLatencyMetrics(pass, report);
   ReportStrategyGeomeans(cells, report);
-  report->EndToEnd("cold_ms", Median(cold_ms), "ms",
-                   static_cast<int64_t>(cold_ms.size()));
-  report->EndToEnd("warm_geomean_ms", Geomean(CellMedians(cells)), "ms",
-                   pass.ops);
+  ReportColdMs(cold_ms, report);
   if (!args.trace) return;
 
   ReportInputs(generate_s, oracle_s, *in, report);
@@ -183,198 +180,7 @@ void RunTpchSf1(const Args& args, Report* report) {
   }
 }
 
-// ---- serving_mix -------------------------------------------------------------
-
-namespace {
-
-struct ClientLog {
-  std::vector<double> ms;
-  std::vector<double> wait_ms;
-  int64_t queued = 0;
-};
-
-void ServeOne(Engine* engine, const TpchInputs& in, int q, bool traced,
-              ClientLog* log) {
-  const int64_t op = NextOpId();
-  Timed timed("Strategy::Execute", traced, op);
-  Result<QueryResult> result = engine->strategy->Execute(in.plans[q]);
-  const double ms = timed.Stop();
-  const swole::exec::AdmissionWaitInfo wait =
-      swole::exec::LastAdmissionWaitOnThread();
-  if (engine->trace != nullptr) {
-    engine->exec_cell.push_back(q);
-    engine->exec_ms.push_back(ms);
-  }
-  if (CountOp(result, in.expected[q]) != Outcome::kOk) return;
-  log->ms.push_back(ms);
-  log->wait_ms.push_back(static_cast<double>(wait.wait_us) / 1e3);
-  log->queued += wait.queued ? 1 : 0;
-}
-
-}  // namespace
-
-void RunServingMix(const Args& args, Report* report) {
-  constexpr int kClients = 4;
-  constexpr int kQueryThreads = 2;
-  constexpr int kRunningCap = 2;  // cap x threads per query = nproc
-  std::unique_ptr<TpchInputs> in;
-  std::vector<std::unique_ptr<Engine>> owned;
-  std::vector<Cell> solo, shared_cells;
-  Engine* shared = nullptr;
-  std::vector<Engine*> client_twins;
-  std::vector<double> setup_s, generate_s, oracle_s, cold_ms;
-  CounterSnapshot count_before, count_after;
-  ChoiceCounts choices;
-  for (int i = 0; i < kSetups; ++i) {
-    solo.clear();
-    shared_cells.clear();
-    client_twins.clear();
-    owned.clear();
-    in.reset();
-    const bool last = i == kSetups - 1;
-    Timed setup("setup", args.trace);
-    in = BuildInputs(args, 0.1, Shapes::kPaperEight);
-    const Catalog& catalog = in->data->catalog;
-    owned.push_back(MakeEngine(StrategyKind::kSwole, catalog,
-                               ExplicitOptions(kQueryThreads), false));
-    shared = owned.back().get();
-    for (size_t q = 0; q < in->plans.size(); ++q) {
-      Cell cell;
-      cell.query = in->names[q];
-      cell.plan = &in->plans[q];
-      cell.expected = &in->expected[q];
-      cell.engine = shared;
-      shared_cells.push_back(std::move(cell));
-    }
-    // A traced run gives every client its own traced engine: a QueryTrace
-    // is recorded by one driving thread at a time.
-    for (int c = 0; args.trace && last && c < kClients; ++c) {
-      owned.push_back(MakeEngine(StrategyKind::kSwole, catalog,
-                                 ExplicitOptions(kQueryThreads), true));
-      client_twins.push_back(owned.back().get());
-      for (size_t q = 0; q < in->plans.size(); ++q) {
-        ClientLog ignored;
-        ServeOne(client_twins.back(), *in, static_cast<int>(q), true,
-                 &ignored);
-      }
-    }
-    AddCells(in->names, in->plans, in->expected, catalog, ExplicitOptions(4),
-             args.trace && last, &owned, &solo);
-    count_before = CounterSnapshot::Take();
-    std::vector<double> first = WarmUp(shared_cells, [&](int c) {
-      if (last) choices.Add(*shared_cells[c].engine->strategy);
-    });
-    count_after = CounterSnapshot::Take();
-    cold_ms.insert(cold_ms.end(), first.begin(), first.end());
-    first = WarmUp(solo, [](int) {});
-    cold_ms.insert(cold_ms.end(), first.begin(), first.end());
-    setup_s.push_back(setup.Stop() / 1e3);
-    generate_s.push_back(in->generate_s);
-    oracle_s.push_back(in->oracle_s);
-    LogSetup(i, setup_s.back(), in->generate_s, in->oracle_s);
-  }
-
-  auto faults = std::make_unique<FaultWindow>(args);
-  // The measured pass alternates a solo round (one query at a time on each
-  // strategy, in cache) with a serving window (closed-loop clients, each
-  // drawing the 8 queries uniformly from its own stream of the workload
-  // seed), so both sample the whole run. A traced run alternates untraced
-  // and traced windows, and solo rounds likewise.
-  constexpr int kWindows = 10;
-  Rng rng(DeriveSeed(args.seed, 2));
-  swole::exec::AdmissionConfig cap;
-  cap.max_concurrent_queries = kRunningCap;
-  cap.max_queued_queries = kClients - kRunningCap;
-  cap.admission_timeout_ms = 60'000;  // nothing sheds at this load
-  cap.global_mem_limit_bytes = 0;
-  cap.max_queries_per_tenant = 0;
-  swole::exec::AdmissionController::ConfigureGlobal(cap);
-  std::vector<Rng> client_rng;
-  for (int c = 0; c < kClients; ++c) {
-    client_rng.emplace_back(DeriveSeed(args.seed, 100 + c));
-  }
-  const double window_s = args.seconds * 0.8 / kWindows;
-  PassStats solo_pass;
-  std::vector<ClientLog> logs(kClients), traced_logs(kClients);
-  double untraced_s = 0, traced_s = 0;
-  const CounterSnapshot pass_before = CounterSnapshot::Take();
-  for (int w = 0; w < kWindows; ++w) {
-    const bool traced = args.trace && w % 2 == 1;
-    RunRound(solo, &rng, traced, &solo_pass);
-    const int64_t start = NowNs();
-    const int64_t deadline = start + static_cast<int64_t>(window_s * 1e9);
-    std::vector<std::thread> clients;
-    for (int c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
-        Engine* engine = traced ? client_twins[c] : shared;
-        ClientLog* log = traced ? &traced_logs[c] : &logs[c];
-        while (NowNs() < deadline) {
-          const int q = static_cast<int>(client_rng[c].NextBounded(8));
-          ServeOne(engine, *in, q, traced, log);
-        }
-      });
-    }
-    for (std::thread& t : clients) t.join();
-    (traced ? traced_s : untraced_s) +=
-        static_cast<double>(NowNs() - start) / 1e9;
-  }
-  const CounterSnapshot pass_after = CounterSnapshot::Take();
-  faults.reset();
-  swole::exec::AdmissionConfig off;
-  off.max_concurrent_queries = 0;
-  swole::exec::AdmissionController::ConfigureGlobal(off);
-
-  PassStats serve;
-  serve.seconds = untraced_s;
-  std::vector<double> waits;
-  int64_t queued = 0, traced_ops = 0;
-  for (int c = 0; c < kClients; ++c) {
-    serve.latencies_ms.insert(serve.latencies_ms.end(), logs[c].ms.begin(),
-                              logs[c].ms.end());
-    waits.insert(waits.end(), logs[c].wait_ms.begin(), logs[c].wait_ms.end());
-    queued += logs[c].queued;
-    traced_ops += static_cast<int64_t>(traced_logs[c].ms.size());
-  }
-  serve.ops = static_cast<int64_t>(serve.latencies_ms.size());
-
-  report->EndToEnd("setup_s", Median(setup_s), "s", kSetups);
-  ReportLatencyMetrics(serve, report);
-  ReportStrategyGeomeans(solo, report);
-  report->EndToEnd("cold_ms", Median(cold_ms), "ms",
-                   static_cast<int64_t>(cold_ms.size()));
-  report->EndToEnd("warm_geomean_ms", Geomean(CellMedians(solo)), "ms",
-                   solo_pass.ops);
-  if (!args.trace) return;
-
-  ReportInputs(generate_s, oracle_s, *in, report);
-  ReportStrategyPhases(solo, report);
-  ReportEntryMs(client_twins, report);
-  report->Layer("exec.admission.wait_p50_ms", Quantile(waits, 0.50), "ms",
-                static_cast<int64_t>(waits.size()));
-  report->Layer("exec.admission.wait_p99_ms", Quantile(waits, 0.99), "ms",
-                static_cast<int64_t>(waits.size()));
-  report->Layer("exec.admission.queued_frac",
-                waits.empty() ? 0.0
-                              : static_cast<double>(queued) /
-                                    static_cast<double>(waits.size()),
-                "ratio", static_cast<int64_t>(waits.size()));
-  ReportCountingPass(count_before, count_after,
-                     static_cast<int64_t>(shared_cells.size()), report);
-  ReportSteals(pass_before, pass_after,
-               serve.ops + traced_ops + solo_pass.executed, report);
-  std::vector<Engine*> traced_engines = TracedTwins(solo);
-  traced_engines.insert(traced_engines.end(), client_twins.begin(),
-                        client_twins.end());
-  ReportMemPeak(traced_engines, report);
-  choices.Report(report);
-  const double untraced_qps = serve.ops / std::max(untraced_s, 1e-9);
-  const double traced_qps = traced_ops / std::max(traced_s, 1e-9);
-  report->Layer("obs.trace_overhead_pct",
-                traced_qps > 0 ? (untraced_qps / traced_qps - 1.0) * 100.0 : 0,
-                "%", serve.ops + traced_ops);
-}
-
-// ---- jit_cold ------------------------------------------------------------------
+// ---- JIT and admission layers (micro_sweep's traced run) --------------------
 
 namespace {
 
@@ -405,151 +211,138 @@ swole::codegen::JitOptions ExplicitJit() {
 }
 
 struct ShapeRuns {
-  std::unique_ptr<swole::obs::QueryTrace> trace;  // traced runs only
-  std::vector<bool> traced_call_cold;  // per traced call, in order
-  std::vector<double> cold, warm, traced_warm;
+  swole::obs::QueryTrace trace;
+  std::vector<bool> call_cold;  // per serve, in order
 };
 
-// One checked ExecuteWithFallback; a fallback to the interpreter counts as
-// a failed operation. Returns the latency, or a negative value on failure.
-double ServeJit(const TpchInputs& in, int shape, ShapeRuns* runs, bool traced,
-                bool cold) {
-  const swole::codegen::GeneratorOptions gen =
-      ExplicitGenerator(traced ? runs->trace.get() : nullptr);
+// One traced, checked ExecuteWithFallback; a fallback to the interpreter
+// counts as a failed operation.
+void ServeJit(const TpchInputs& in, int shape, ShapeRuns* runs, bool cold) {
   swole::codegen::ExecutionReport how;
-  const int64_t op = NextOpId();
-  Timed timed("codegen::ExecuteWithFallback", traced, op);
+  Timed timed("codegen::ExecuteWithFallback", true, NextOpId());
   Result<QueryResult> result = swole::codegen::ExecuteWithFallback(
-      in.plans[shape], in.data->catalog, gen, ExplicitJit(), &how);
-  const double ms = timed.Stop();
-  if (traced) runs->traced_call_cold.push_back(cold);
+      in.plans[shape], in.data->catalog, ExplicitGenerator(&runs->trace),
+      ExplicitJit(), &how);
+  timed.Stop();
+  runs->call_cold.push_back(cold);
   if (!how.used_jit) {
     CountFailedOp();
-    return -1;
+    return;
   }
-  return CountOp(result, in.expected[shape]) == Outcome::kOk ? ms : -1;
+  CountOp(result, in.expected[shape]);
+}
+
+struct ClientLog {
+  std::vector<double> wait_ms;
+  int64_t queued = 0;
+};
+
+// The entry sequence and admission under load: closed-loop clients, each
+// with its own traced SWOLE engine (a QueryTrace is recorded by one driving
+// thread at a time), draw the shapes uniformly from their own streams of the
+// seed, 2 threads per query, at most 2 queries running (cap x threads =
+// nproc) and the other clients queued.
+void ReportAdmissionLayer(const Args& args, const TpchInputs& in,
+                          Report* report) {
+  constexpr int kClients = 4;
+  constexpr int kQueryThreads = 2;
+  constexpr int kRunningCap = 2;
+  constexpr double kWindowS = 2.0;
+  const int shapes = static_cast<int>(in.plans.size());
+  std::vector<std::unique_ptr<Engine>> engines;
+  std::vector<Engine*> clients;
+  for (int c = 0; c < kClients; ++c) {
+    engines.push_back(MakeEngine(StrategyKind::kSwole, in.data->catalog,
+                                 ExplicitOptions(kQueryThreads), true));
+    clients.push_back(engines.back().get());
+  }
+  auto serve = [&](int c, int q, ClientLog* log) {
+    Engine* engine = clients[c];
+    Timed timed("Strategy::Execute", true, NextOpId());
+    Result<QueryResult> result = engine->strategy->Execute(in.plans[q]);
+    const double ms = timed.Stop();
+    const swole::exec::AdmissionWaitInfo wait =
+        swole::exec::LastAdmissionWaitOnThread();
+    engine->exec_cell.push_back(q);
+    engine->exec_ms.push_back(ms);
+    if (CountOp(result, in.expected[q]) != Outcome::kOk || log == nullptr) {
+      return;
+    }
+    log->wait_ms.push_back(static_cast<double>(wait.wait_us) / 1e3);
+    log->queued += wait.queued ? 1 : 0;
+  };
+  for (int c = 0; c < kClients; ++c) {
+    for (int q = 0; q < shapes; ++q) serve(c, q, nullptr);
+  }
+
+  swole::exec::AdmissionConfig cap;
+  cap.max_concurrent_queries = kRunningCap;
+  cap.max_queued_queries = kClients - kRunningCap;
+  cap.admission_timeout_ms = 60'000;  // nothing sheds at this load
+  cap.global_mem_limit_bytes = 0;
+  cap.max_queries_per_tenant = 0;
+  swole::exec::AdmissionController::ConfigureGlobal(cap);
+  std::vector<ClientLog> logs(kClients);
+  const int64_t deadline = NowNs() + static_cast<int64_t>(kWindowS * 1e9);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      Rng rng(DeriveSeed(args.seed, 100 + c));
+      while (NowNs() < deadline) {
+        serve(c, static_cast<int>(rng.NextBounded(shapes)), &logs[c]);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  swole::exec::AdmissionConfig off;
+  off.max_concurrent_queries = 0;
+  swole::exec::AdmissionController::ConfigureGlobal(off);
+
+  std::vector<double> waits;
+  int64_t queued = 0;
+  for (const ClientLog& log : logs) {
+    waits.insert(waits.end(), log.wait_ms.begin(), log.wait_ms.end());
+    queued += log.queued;
+  }
+  const auto n = static_cast<int64_t>(waits.size());
+  ReportEntryMs(clients, report);
+  report->Layer("exec.admission.wait_p50_ms", Quantile(waits, 0.50), "ms", n);
+  report->Layer("exec.admission.wait_p99_ms", Quantile(waits, 0.99), "ms", n);
+  report->Layer("exec.admission.queued_frac",
+                n > 0 ? static_cast<double>(queued) / static_cast<double>(n)
+                      : 0.0,
+                "ratio", n);
 }
 
 }  // namespace
 
-void RunJitCold(const Args& args, Report* report) {
-  constexpr int kWarmRuns = 10;
-  std::unique_ptr<TpchInputs> in;
-  std::vector<std::unique_ptr<Engine>> owned;
-  std::vector<Cell> cells;
-  std::vector<double> setup_s, generate_s, oracle_s;
-  ChoiceCounts choices;
-  for (int i = 0; i < kSetups; ++i) {
-    cells.clear();
-    owned.clear();
-    in.reset();
-    const bool last = i == kSetups - 1;
-    Timed setup("setup", args.trace);
-    in = BuildInputs(args, 0.1, Shapes::kJitAccepted);
-    AddCells(in->names, in->plans, in->expected, in->data->catalog,
-             ExplicitOptions(4), args.trace && last, &owned, &cells);
-    WarmUp(cells, [&](int c) {
-      if (last && cells[c].kind == StrategyKind::kSwole) {
-        choices.Add(*cells[c].engine->strategy);
-      }
-    });
-    setup_s.push_back(setup.Stop() / 1e3);
-    generate_s.push_back(in->generate_s);
-    oracle_s.push_back(in->oracle_s);
-    LogSetup(i, setup_s.back(), in->generate_s, in->oracle_s);
-  }
+void ReportJitAndAdmissionLayers(const Args& args, Report* report) {
+  constexpr int kWarmRounds = 5;
+  const std::unique_ptr<TpchInputs> in =
+      BuildInputs(args, 0.1, Shapes::kJitAccepted);
   const int shapes = static_cast<int>(in->plans.size());
-
-  auto faults = std::make_unique<FaultWindow>(args);
-  Rng rng(DeriveSeed(args.seed, 2));
-  const int64_t start = NowNs();
-
-  // JIT rounds: every JIT operation starts from an empty kernel cache.
   std::vector<ShapeRuns> runs(shapes);
-  for (ShapeRuns& r : runs) {
-    if (args.trace) r.trace = std::make_unique<swole::obs::QueryTrace>();
-  }
-  std::vector<int> order(shapes);
-  for (int s = 0; s < shapes; ++s) order[s] = s;
-  const int64_t deadline = start + static_cast<int64_t>(args.seconds * 1e9);
-  PassStats pass;
-  CounterSnapshot round_before, round_after;
-  int64_t jit_ops = 0;
-  int64_t round0_ops = 0;
-  // Before each shape, three rounds of the interpreted engines over all five
-  // shapes (their baselines), so they sample the whole run. A traced run
-  // traces every cold serve (for the jit_compile spans), every second warm
-  // rerun (for the run spans and the overhead figure) and every second
-  // interpreted round.
-  PassStats side;
-  int side_rounds = 0;
-  for (int round = 0;; ++round) {
-    if (round >= 1 && NowNs() >= deadline) break;
-    ProbeHost();
-    if (round == 0) round_before = CounterSnapshot::Take();
-    for (size_t i = order.size(); i > 1; --i) {
-      std::swap(order[i - 1], order[rng.NextBounded(i)]);
-    }
-    for (int s : order) {
-      for (int r = 0; r < 3; ++r, ++side_rounds) {
-        RunRound(cells, &rng, args.trace && side_rounds % 2 == 1, &side);
+  Rng rng(DeriveSeed(args.seed, 5));
+  CounterSnapshot count_before, count_after;
+  {
+    FaultWindow faults(args);
+    count_before = CounterSnapshot::Take();
+    // Cold: the kernel cache starts empty and no two shapes share a kernel,
+    // so the first serve of each shape generates, compiles and runs it.
+    swole::codegen::KernelCache::Global().Clear();
+    for (int s : ShuffledOrder(shapes, &rng)) ServeJit(*in, s, &runs[s], true);
+    for (int round = 0; round < kWarmRounds; ++round) {
+      for (int s : ShuffledOrder(shapes, &rng)) {
+        ServeJit(*in, s, &runs[s], false);
       }
-      const int64_t jit_start = NowNs();
-      swole::codegen::KernelCache::Global().Clear();
-      double ms = ServeJit(*in, s, &runs[s], args.trace, true);
-      if (ms >= 0 && !args.trace) {
-        runs[s].cold.push_back(ms);
-        pass.latencies_ms.push_back(ms);
-        ++pass.ops;
-      }
-      for (int w = 0; w < kWarmRuns; ++w) {
-        const bool traced = args.trace && w % 2 == 1;
-        ms = ServeJit(*in, s, &runs[s], traced, false);
-        if (ms < 0) continue;
-        (traced ? runs[s].traced_warm : runs[s].warm).push_back(ms);
-        if (!traced) ++pass.ops;
-      }
-      pass.seconds += static_cast<double>(NowNs() - jit_start) / 1e9;
-    }
-    pass.executed += shapes * (1 + kWarmRuns);
-    jit_ops += shapes * (1 + kWarmRuns);
-    if (round == 0) {
-      round_after = CounterSnapshot::Take();
-      round0_ops = jit_ops + side.executed;
+      if (round == 0) count_after = CounterSnapshot::Take();
     }
   }
-  faults.reset();
-  report->Note("jit_operations", std::to_string(jit_ops));
+  report->Note("jit_operations", std::to_string(shapes * (1 + kWarmRounds)));
 
-  std::vector<double> cold, warm_medians;
-  for (const ShapeRuns& r : runs) {
-    cold.insert(cold.end(), r.cold.begin(), r.cold.end());
-    if (!r.warm.empty()) warm_medians.push_back(Median(r.warm));
-  }
-  report->EndToEnd("setup_s", Median(setup_s), "s", kSetups);
-  // qps counts every JIT serve; the latency percentiles are over the cold
-  // serves, the time to first result (warm reruns of five shapes mix five
-  // latency levels, which puts their median on a boundary between shapes).
-  ReportLatencyMetrics(pass, report);
-  ReportStrategyGeomeans(cells, report);
-  report->EndToEnd("cold_ms", Median(cold), "ms",
-                   static_cast<int64_t>(cold.size()));
-  report->EndToEnd("warm_geomean_ms", Geomean(warm_medians), "ms",
-                   static_cast<int64_t>(warm_medians.size()));
-  if (!args.trace) return;
-
-  ReportInputs(generate_s, oracle_s, *in, report);
-  ReportStrategyPhases(cells, report);
-  const std::vector<Engine*> twins = TracedTwins(cells);
-  ReportEntryMs(twins, report);
-  ReportCountingPass(round_before, round_after, round0_ops, report);
-  ReportSteals(round_before, round_after, round0_ops, report);
-  ReportMemPeak(twins, report);
-  choices.Report(report);
-
-  // codegen: generation timed on its own; compile and kernel run read from
-  // the jit_compile / jit_kernel spans of the traced rounds.
-  std::vector<double> generate, compile, run, overhead;
+  // Generation timed on its own; compile and kernel run read from the
+  // jit_compile / jit_kernel spans of the cold and warm serves.
+  std::vector<double> generate, compile, run;
   double source_kb = 0;  // summed over shapes
   for (int s = 0; s < shapes; ++s) {
     ShapeRuns& r = runs[s];
@@ -566,26 +359,22 @@ void RunJitCold(const Args& args, Report* report) {
     const double gen_median = Median(gen_ms);
     generate.push_back(gen_median);
     std::vector<double> compile_ms, kernel_ms;
+    const int calls = static_cast<int>(r.call_cold.size());
     int call = -1;
-    for (const auto& span : r.trace->root()->children) {
+    for (const auto& span : r.trace.root()->children) {
       const double ms = static_cast<double>(span->duration_ns) / 1e6;
       if (span->name == "jit_compile") {
         ++call;
-        if (call < static_cast<int>(r.traced_call_cold.size()) &&
-            r.traced_call_cold[call]) {
+        if (call < calls && r.call_cold[call]) {
           compile_ms.push_back(std::max(ms - gen_median, 0.0));
         }
-      } else if (span->name == "jit_kernel" && call >= 0 &&
-                 call < static_cast<int>(r.traced_call_cold.size()) &&
-                 !r.traced_call_cold[call]) {
+      } else if (span->name == "jit_kernel" && call >= 0 && call < calls &&
+                 !r.call_cold[call]) {
         kernel_ms.push_back(ms);
       }
     }
     if (!compile_ms.empty()) compile.push_back(Median(compile_ms));
     if (!kernel_ms.empty()) run.push_back(Median(kernel_ms));
-    if (!r.warm.empty() && !r.traced_warm.empty()) {
-      overhead.push_back(Median(r.traced_warm) / Median(r.warm));
-    }
   }
   report->Layer("codegen.generate_ms", Geomean(generate), "ms", shapes);
   report->Layer("codegen.compile_ms", Geomean(compile), "ms",
@@ -593,23 +382,18 @@ void RunJitCold(const Args& args, Report* report) {
   report->Layer("codegen.run_ms", Geomean(run), "ms",
                 static_cast<int64_t>(run.size()));
   report->Layer("codegen.source_kb", source_kb / shapes, "KiB", shapes);
-  report->Layer("codegen.compiles",
-                static_cast<double>(round_after.Delta(round_before, "jit.compiles")),
-                "count");
-  report->Layer("codegen.retries",
-                static_cast<double>(round_after.Delta(round_before, "jit.retries")),
-                "count");
-  report->Layer("codegen.fallbacks",
-                static_cast<double>(round_after.Delta(round_before, "jit.fallbacks")),
-                "count");
+  // Counts over the cold serves and the first warm round.
+  auto delta = [&](const char* name) {
+    return static_cast<double>(count_after.Delta(count_before, name));
+  };
+  report->Layer("codegen.compiles", delta("jit.compiles"), "count");
+  report->Layer("codegen.retries", delta("jit.retries"), "count");
+  report->Layer("codegen.fallbacks", delta("jit.fallbacks"), "count");
   report->Layer("codegen.cache_hits",
-                static_cast<double>(
-                    round_after.Delta(round_before, "jit.cache_hits_memory") +
-                    round_after.Delta(round_before, "jit.cache_hits_disk")),
+                delta("jit.cache_hits_memory") + delta("jit.cache_hits_disk"),
                 "count");
-  report->Layer("obs.trace_overhead_pct",
-                overhead.empty() ? 0 : (Geomean(overhead) - 1.0) * 100.0, "%",
-                static_cast<int64_t>(overhead.size()));
+
+  ReportAdmissionLayer(args, *in, report);
 }
 
 }  // namespace perfbench
