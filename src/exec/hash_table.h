@@ -2,6 +2,7 @@
 #define SWOLE_EXEC_HASH_TABLE_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -34,9 +35,7 @@ class HashTable {
   explicit HashTable(int payload_width, int64_t expected_keys = 16)
       : payload_width_(payload_width) {
     SWOLE_CHECK_GE(payload_width, 0);
-    int64_t capacity = bit_util::NextPowerOfTwo(
-        std::max<int64_t>(16, expected_keys * 10 / 7 + 1));
-    Rehash(capacity);
+    Rehash(CapacityFor(expected_keys));
   }
 
   HashTable(const HashTable&) = delete;
@@ -270,12 +269,101 @@ class HashTable {
     for (; k < n; ++k) GetOrInsert(keys[k]);
   }
 
+  // ---- Shared insert (phase 2 of the two-phase build, DESIGN.md §7) ----
+
+  /// Inserts `key` while other threads insert into the same table. Only
+  /// for a table already at its final size (constructed or ReserveFor'd
+  /// for every key of the phase): the call never grows the table, never
+  /// reuses a tombstone, and leaves size() alone — the caller adds the
+  /// claimed count once with AddClaimed after the inserting threads have
+  /// joined. A CAS claims an empty slot; the claiming call gets the key's
+  /// payload pointer and is the only one that may write it, every other
+  /// call for that key gets nullptr. No other operation may run on the
+  /// table during the phase.
+  SWOLE_ALWAYS_INLINE int64_t* InsertShared(int64_t key) {
+    SWOLE_DCHECK(key != kEmpty && key != kTombstone);
+    uint64_t slot = Hash(key) & mask_;
+    while (true) {
+      std::atomic_ref<int64_t> cell(keys_[slot]);
+      int64_t k = cell.load(std::memory_order_relaxed);
+      if (k == kEmpty &&
+          cell.compare_exchange_strong(k, key, std::memory_order_relaxed)) {
+        return PayloadAt(slot);
+      }
+      // `k` is the slot's key — a lost CAS reloads the winner's.
+      if (k == key) return nullptr;
+      slot = (slot + 1) & mask_;
+    }
+  }
+
+  /// Batched InsertShared. With `payload`, the claiming call stores
+  /// payload[k] into key k's first payload word. Returns the number of
+  /// keys this call claimed.
+  int64_t InsertSharedBatch(const int64_t* SWOLE_RESTRICT keys,
+                            const int64_t* SWOLE_RESTRICT payload, int64_t n,
+                            bool prefetch) {
+    int64_t claimed = 0;
+    auto insert = [&](int64_t k) {
+      int64_t* p = InsertShared(keys[k]);
+      if (p == nullptr) return;
+      ++claimed;
+      if (payload != nullptr) *p = payload[k];
+    };
+    int64_t k = 0;
+    if (prefetch) {
+      const int64_t head = std::min<int64_t>(n, kProbeLookahead);
+      for (; k < head; ++k) PrefetchSlot(keys[k]);
+      for (k = 0; k + kProbeLookahead < n; ++k) {
+        PrefetchSlot(keys[k + kProbeLookahead]);
+        insert(k);
+      }
+    }
+    for (; k < n; ++k) insert(k);
+    return claimed;
+  }
+
+  /// Empties the table and shrinks it to a default-constructed table's
+  /// capacity. The charge moves by the difference in one step (a release
+  /// for any grown table), so the restart never asks the budget for bytes
+  /// that other charges could have taken in between.
+  void Clear() {
+    const int64_t capacity = CapacityFor(16);
+    const int64_t delta =
+        capacity * 8 * (1 + payload_width_) - ByteSize();
+    if (delta > 0) ChargeDelta(delta);  // only a table below the default
+    keys_ = std::vector<int64_t>();
+    payload_ = std::vector<int64_t>();
+    capacity_ = capacity;
+    mask_ = static_cast<uint64_t>(capacity - 1);
+    keys_.assign(capacity, kEmpty);
+    payload_.assign(static_cast<size_t>(capacity) * payload_width_, 0);
+    size_ = 0;
+    tombstones_ = 0;
+    if (delta < 0) ChargeDelta(delta);
+  }
+
+  /// Adds the keys claimed by a finished shared-insert phase to size().
+  void AddClaimed(int64_t claimed) { size_ += claimed; }
+
+  /// A table with this one's capacity, key slots and size, and zeroed
+  /// payloads (join-mode probes give every worker the build's key set).
+  /// With a `hook`, the copy charges `site` before it allocates.
+  HashTable CloneKeys(MemHookFn hook, void* ctx, const char* site) const {
+    HashTable copy(payload_width_);
+    copy.SetMemHook(hook, ctx, site);
+    copy.Rehash(capacity_);
+    std::copy(keys_.begin(), keys_.end(), copy.keys_.begin());
+    copy.size_ = size_;
+    copy.tombstones_ = tombstones_;
+    return copy;
+  }
+
   /// Adds every entry of `other` into this table element-wise: absent keys
-  /// are inserted, payload slots are summed. This is the merge step of the
-  /// parallel partitioned build and of per-thread group states — additive
-  /// because every aggregation payload in this codebase is a plain int64
-  /// running sum/count (min/max live in scalar accumulators, merged by
-  /// kind). Width-0 tables merge as a set union.
+  /// are inserted, payload slots are summed. This is the merge step of
+  /// per-thread group states — additive because every aggregation payload
+  /// in this codebase is a plain int64 running sum/count (min/max live in
+  /// scalar accumulators, merged by kind). Width-0 tables merge as a set
+  /// union.
   void MergeAdd(const HashTable& other) {
     SWOLE_CHECK_EQ(payload_width_, other.payload_width_);
     other.ForEach([&](int64_t key, const int64_t* src) {
@@ -305,6 +393,12 @@ class HashTable {
  private:
   static constexpr int64_t kEmpty = INT64_MIN;
   static constexpr int64_t kTombstone = INT64_MIN + 1;
+
+  // Capacity for `expected_keys` below the 0.7 load limit.
+  static int64_t CapacityFor(int64_t expected_keys) {
+    return static_cast<int64_t>(bit_util::NextPowerOfTwo(
+        std::max<int64_t>(16, expected_keys * 10 / 7 + 1)));
+  }
 
   SWOLE_ALWAYS_INLINE int64_t* PayloadAt(uint64_t slot) {
     // Width-0 tables still return a stable non-null sentinel address.

@@ -32,6 +32,44 @@ DimJoin DimJoin::CloneTree() const {
   return copy;
 }
 
+QueryPlan QueryPlan::Clone() const {
+  auto clone = [](const ExprPtr& expr) {
+    return expr != nullptr ? expr->Clone() : nullptr;
+  };
+  QueryPlan copy;
+  copy.name = name;
+  copy.fact_table = fact_table;
+  copy.fact_filter = clone(fact_filter);
+  for (const DimJoin& dim : dims) copy.dims.push_back(dim.CloneTree());
+  for (const ReverseDim& rdim : reverse_dims) {
+    copy.reverse_dims.push_back(ReverseDim{rdim.table, rdim.fk_column,
+                                           clone(rdim.filter),
+                                           rdim.fact_pk_column});
+  }
+  if (disjunctive.has_value()) {
+    DisjunctiveJoin dj;
+    dj.hop = disjunctive->hop;
+    for (const DisjunctiveJoin::Clause& clause : disjunctive->clauses) {
+      dj.clauses.push_back(
+          {clone(clause.dim_filter), clone(clause.fact_filter)});
+    }
+    copy.disjunctive = std::move(dj);
+  }
+  copy.paths = paths;
+  copy.path_equalities = path_equalities;
+  copy.group_by = clone(group_by);
+  copy.group_by_path = group_by_path;
+  copy.group_cardinality_hint = group_cardinality_hint;
+  copy.group_seed = group_seed;
+  for (const AggSpec& agg : aggs) {
+    AggSpec spec(agg.kind, clone(agg.expr), agg.name);
+    spec.path_factor = agg.path_factor;
+    copy.aggs.push_back(std::move(spec));
+  }
+  copy.histogram_of_agg0 = histogram_of_agg0;
+  return copy;
+}
+
 const ColumnPath* QueryPlan::FindPath(const std::string& alias) const {
   for (const ColumnPath& path : paths) {
     if (path.alias == alias) return &path;
@@ -75,6 +113,13 @@ std::string QueryPlan::ToString() const {
                         disjunctive->hop.to_table.c_str(),
                         disjunctive->hop.fk_column.c_str(),
                         static_cast<int>(disjunctive->clauses.size()));
+    for (const DisjunctiveJoin::Clause& clause : disjunctive->clauses) {
+      out += StringFormat(
+          "    clause %s and %s\n",
+          clause.dim_filter ? clause.dim_filter->ToString().c_str() : "true",
+          clause.fact_filter ? clause.fact_filter->ToString().c_str()
+                             : "true");
+    }
   }
   for (const ColumnPath& path : paths) {
     out += StringFormat("  path %s = ", path.alias.c_str());
@@ -82,7 +127,9 @@ std::string QueryPlan::ToString() const {
       out += StringFormat("%s->%s.", hop.fk_column.c_str(),
                           hop.to_table.c_str());
     }
-    out += path.column + "\n";
+    out += path.column;
+    if (!path.like_pattern.empty()) out += " like '" + path.like_pattern + "'";
+    out += "\n";
   }
   for (const PathEquality& eq : path_equalities) {
     out += StringFormat("  require %s = %s\n", eq.left_alias.c_str(),
@@ -101,6 +148,16 @@ std::string QueryPlan::ToString() const {
                             ? ""
                             : (" * " + agg.path_factor).c_str());
   }
+  if (group_cardinality_hint > 0) {
+    out += StringFormat("  expect %lld groups\n",
+                        static_cast<long long>(group_cardinality_hint));
+  }
+  if (group_seed.has_value()) {
+    out += StringFormat("  seed groups from %s.%s\n",
+                        group_seed->table.c_str(),
+                        group_seed->key_column.c_str());
+  }
+  if (histogram_of_agg0) out += "  histogram of agg 0\n";
   return out;
 }
 

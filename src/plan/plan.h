@@ -166,6 +166,11 @@ struct QueryPlan {
 
   const ColumnPath* FindPath(const std::string& alias) const;
 
+  /// A deep copy: every expression tree is cloned.
+  QueryPlan Clone() const;
+
+  /// Renders the plan's structure, including every field SWOLE's cost
+  /// analysis reads — the rendering doubles as its cache's fingerprint.
   std::string ToString() const;
 };
 

@@ -1,6 +1,7 @@
 #ifndef SWOLE_STORAGE_BITMAP_H_
 #define SWOLE_STORAGE_BITMAP_H_
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -118,6 +119,14 @@ class PositionalBitmap {
   void OrTo(int64_t i, bool value) {
     SWOLE_DCHECK_LT(i, num_bits_);
     words_[i >> 6] |= static_cast<uint64_t>(value) << (i & 63);
+  }
+
+  /// Atomically ORs `bits` into word `word`: the store of a parallel build
+  /// whose workers scatter into shared words (the reverse bitmap).
+  void OrWordAtomic(int64_t word, uint64_t bits) {
+    SWOLE_DCHECK_LT(word, static_cast<int64_t>(words_.size()));
+    std::atomic_ref<uint64_t>(words_[word]).fetch_or(
+        bits, std::memory_order_relaxed);
   }
 
   /// Packs a tile of byte-wide predicate results (0/1) into bits starting at

@@ -208,11 +208,183 @@ int32_t FilterToSelVec(StrategyKind kind, VectorEvaluator* eval,
   return kernels::SelVecFromCmpNoBranch(scratch->cmp.data(), len, out_sel);
 }
 
-std::unique_ptr<HashTable> BuildDimKeySet(StrategyKind kind,
-                                          const Catalog& catalog,
-                                          const DimJoin& dim,
-                                          int64_t tile_size, int num_threads,
-                                          exec::QueryContext* ctx) {
+KeyRuns::KeyRuns(int num_workers, bool with_payload,
+                 exec::QueryContext* ctx, const char* site)
+    : runs_(num_workers),
+      with_payload_(with_payload),
+      ctx_(ctx),
+      site_(site) {}
+
+KeyRuns::~KeyRuns() {
+  if (ctx_ == nullptr) return;
+  for (const Run& run : runs_) {
+    if (run.charged > 0) ctx_->TryCharge(-run.charged, site_);
+  }
+}
+
+void KeyRuns::Reserve(Run* run, size_t needed) {
+  if (needed <= run->keys.capacity()) return;
+  const size_t capacity =
+      std::max({needed, 2 * run->keys.capacity(), size_t{1024}});
+  const int64_t bytes_per_entry = with_payload_ ? 16 : 8;
+  const int64_t new_bytes = static_cast<int64_t>(capacity) * bytes_per_entry;
+  // Charge the grown buffers before allocating them; both generations are
+  // live while reserve() copies, so the old ones are released only after.
+  if (ctx_ != nullptr) {
+    AbortReason reason = ctx_->TryCharge(new_bytes, site_);
+    if (reason != AbortReason::kNone) {
+      throw QueryAbort(reason, site_, new_bytes);
+    }
+    run->charged += new_bytes;
+  }
+  const int64_t old_bytes =
+      static_cast<int64_t>(run->keys.capacity()) * bytes_per_entry;
+  run->keys.reserve(capacity);
+  if (with_payload_) run->payload.reserve(capacity);
+  if (ctx_ != nullptr && old_bytes > 0) {
+    ctx_->TryCharge(-old_bytes, site_);
+    run->charged -= old_bytes;
+  }
+}
+
+void KeyRuns::Append(int worker, const int64_t* keys, const int64_t* payload,
+                     int32_t n) {
+  Run& run = runs_[worker];
+  Reserve(&run, run.keys.size() + n);
+  // INT64_MIN is HashTable's empty marker, never a key.
+  int64_t prev = run.keys.empty() ? INT64_MIN : run.keys.back();
+  for (int32_t k = 0; k < n; ++k) {
+    if (keys[k] == prev) continue;
+    prev = keys[k];
+    run.keys.push_back(keys[k]);
+    if (with_payload_) run.payload.push_back(payload[k]);
+  }
+}
+
+int64_t KeyRuns::total() const {
+  int64_t total = 0;
+  for (const Run& run : runs_) total += static_cast<int64_t>(run.keys.size());
+  return total;
+}
+
+namespace {
+
+// One morsel-parallel shared-insert phase into `table`, which must already
+// have room for every key: insert(worker, begin, end) inserts entries
+// [begin, end) of `total` and returns how many keys it claimed. The claims
+// reach the table's size once, after the region joins.
+template <typename InsertFn>
+void SharedInsertPhase(HashTable* table, exec::QueryContext* ctx,
+                       int num_threads, int64_t total, int64_t tile_size,
+                       InsertFn&& insert) {
+  std::vector<int64_t> claimed(num_threads, 0);
+  exec::MorselStats stats = exec::ParallelMorsels(
+      ctx, num_threads, total, exec::DefaultMorselSize(tile_size),
+      [&](int worker, int64_t begin, int64_t end) {
+        claimed[worker] += insert(worker, begin, end);
+      });
+  exec::ThrowIfError(stats.status);
+  int64_t claimed_total = 0;
+  for (int64_t c : claimed) claimed_total += c;
+  table->AddClaimed(claimed_total);
+}
+
+}  // namespace
+
+void KeyRuns::InsertInto(HashTable* table, int64_t max_keys, bool prefetch,
+                         int num_threads, int64_t tile_size) const {
+  const int64_t total_entries = total();
+  table->ReserveFor(std::min(total_entries, max_keys));
+  // starts[r] = global index of run r's first entry.
+  std::vector<int64_t> starts(runs_.size() + 1, 0);
+  for (size_t r = 0; r < runs_.size(); ++r) {
+    starts[r + 1] = starts[r] + static_cast<int64_t>(runs_[r].keys.size());
+  }
+  SharedInsertPhase(
+      table, ctx_, num_threads, total_entries, tile_size,
+      [&](int /*worker*/, int64_t begin, int64_t end) {
+        size_t r = std::upper_bound(starts.begin(), starts.end(), begin) -
+                   starts.begin() - 1;
+        int64_t claimed = 0;
+        for (; begin < end; ++r) {
+          const Run& run = runs_[r];
+          const int64_t offset = begin - starts[r];
+          const int64_t n = std::min(end, starts[r + 1]) - begin;
+          claimed += table->InsertSharedBatch(
+              run.keys.data() + offset,
+              with_payload_ ? run.payload.data() + offset : nullptr, n,
+              prefetch);
+          begin += n;
+        }
+        return claimed;
+      });
+}
+
+std::unique_ptr<HashTable> KeyRuns::BuildTable(int payload_width,
+                                               int64_t max_keys,
+                                               bool prefetch, int num_threads,
+                                               int64_t tile_size) const {
+  // Hook first, so the table's one sizing charge precedes its allocation.
+  auto table = std::make_unique<HashTable>(payload_width);
+  if (ctx_ != nullptr) {
+    table->SetMemHook(exec::QueryContext::MemHookThunk, ctx_, site_);
+  }
+  InsertInto(table.get(), max_keys, prefetch, num_threads, tile_size);
+  return table;
+}
+
+namespace {
+
+// A build scan's per-worker state.
+struct ScanWorker {
+  ScanWorker(const Table& table, int64_t tile_size)
+      : eval(table, tile_size), scratch(tile_size) {}
+  VectorEvaluator eval;
+  Scratch scratch;
+};
+
+std::vector<std::unique_ptr<ScanWorker>> MakeScanWorkers(const Table& table,
+                                                         int64_t tile_size,
+                                                         int num_threads) {
+  std::vector<std::unique_ptr<ScanWorker>> workers(num_threads);
+  for (auto& worker : workers) {
+    worker = std::make_unique<ScanWorker>(table, tile_size);
+  }
+  return workers;
+}
+
+// Fk offset arrays of `dim`'s children on the dim table (positional
+// qualification reads them sequentially during the dim scan).
+std::vector<const uint32_t*> ChildOffsets(const Table& table,
+                                          const DimJoin& dim) {
+  std::vector<const uint32_t*> offsets;
+  for (const DimJoin& child : dim.children) {
+    const FkIndex* index =
+        table.GetFkIndex(child.hop.fk_column).ValueOr(nullptr);
+    SWOLE_CHECK(index != nullptr);
+    offsets.push_back(index->offsets());
+  }
+  return offsets;
+}
+
+// cmp[j] &= child qualification of row start + j, for every child bitmap.
+void AndChildBitmaps(const std::vector<PositionalBitmap>& child_bitmaps,
+                     const std::vector<const uint32_t*>& child_offsets,
+                     int64_t start, int64_t len, uint8_t* cmp) {
+  for (size_t c = 0; c < child_bitmaps.size(); ++c) {
+    const uint32_t* offs = child_offsets[c] + start;
+    const PositionalBitmap& child = child_bitmaps[c];
+    for (int64_t j = 0; j < len; ++j) {
+      cmp[j] &= static_cast<uint8_t>(child.Test(offs[j]));
+    }
+  }
+}
+
+}  // namespace
+
+KeyRuns CollectDimKeyRuns(StrategyKind kind, const Catalog& catalog,
+                          const DimJoin& dim, int64_t tile_size,
+                          int num_threads, exec::QueryContext* ctx) {
   // Children first (bottom-up through the snowflake).
   std::vector<std::unique_ptr<HashTable>> child_sets;
   child_sets.reserve(dim.children.size());
@@ -223,31 +395,13 @@ std::unique_ptr<HashTable> BuildDimKeySet(StrategyKind kind,
 
   const Table& table = catalog.TableRef(dim.hop.to_table);
   const Column& pk = table.ColumnRef(dim.hop.to_pk_column);
-
-  // Partitioned build: each worker scans its morsels into a private partial
-  // table; partials merge in worker order (pk keys are unique across
-  // morsels, so the merge is a disjoint union).
-  std::vector<std::unique_ptr<HashTable>> partials(num_threads);
-  std::vector<std::unique_ptr<VectorEvaluator>> evals(num_threads);
-  std::vector<std::unique_ptr<Scratch>> scratches(num_threads);
-  for (int w = 0; w < num_threads; ++w) {
-    partials[w] = std::make_unique<HashTable>(
-        /*payload_width=*/0,
-        w == 0 ? table.num_rows() : table.num_rows() / num_threads + 16);
-    if (ctx != nullptr) {
-      partials[w]->SetMemHook(exec::QueryContext::MemHookThunk, ctx,
-                              "dim_keyset");
-    }
-    evals[w] = std::make_unique<VectorEvaluator>(table, tile_size);
-    scratches[w] = std::make_unique<Scratch>(tile_size);
-  }
-
+  KeyRuns runs(num_threads, /*with_payload=*/false, ctx, "dim_keyset");
+  auto workers = MakeScanWorkers(table, tile_size, num_threads);
   exec::MorselStats scan_stats = exec::ParallelMorsels(
       ctx, num_threads, table.num_rows(), exec::DefaultMorselSize(tile_size),
       [&](int worker, int64_t range_begin, int64_t range_end) {
-        VectorEvaluator& eval = *evals[worker];
-        Scratch& scratch = *scratches[worker];
-        HashTable& ht = *partials[worker];
+        VectorEvaluator& eval = workers[worker]->eval;
+        Scratch& scratch = workers[worker]->scratch;
         for (int64_t start = range_begin; start < range_end;
              start += tile_size) {
           int64_t len = std::min(tile_size, range_end - start);
@@ -269,14 +423,60 @@ std::unique_ptr<HashTable> BuildDimKeySet(StrategyKind kind,
 
           GatherColumnSel(pk, start, scratch.sel.data(), n,
                           scratch.keys.data());
-          ht.InsertBatch(scratch.keys.data(), n,
-                         /*prefetch=*/kind == StrategyKind::kRof);
+          runs.Append(worker, scratch.keys.data(), nullptr, n);
         }
       });
   exec::ThrowIfError(scan_stats.status);
+  return runs;
+}
 
-  for (int w = 1; w < num_threads; ++w) partials[0]->MergeAdd(*partials[w]);
-  return std::move(partials[0]);
+KeyRuns CollectDimKeyRunsPositional(const Catalog& catalog,
+                                    const DimJoin& dim, int64_t tile_size,
+                                    int num_threads, exec::QueryContext* ctx,
+                                    const char* site) {
+  std::vector<PositionalBitmap> child_bitmaps;
+  for (const DimJoin& child : dim.children) {
+    child_bitmaps.push_back(
+        BuildDimBitmap(catalog, child, tile_size, num_threads, ctx));
+  }
+  const Table& table = catalog.TableRef(dim.hop.to_table);
+  const std::vector<const uint32_t*> child_offsets = ChildOffsets(table, dim);
+  const Column& pk = table.ColumnRef(dim.hop.to_pk_column);
+  KeyRuns runs(num_threads, /*with_payload=*/false, ctx, site);
+  auto workers = MakeScanWorkers(table, tile_size, num_threads);
+  exec::MorselStats scan_stats = exec::ParallelMorsels(
+      ctx, num_threads, table.num_rows(), exec::DefaultMorselSize(tile_size),
+      [&](int worker, int64_t range_begin, int64_t range_end) {
+        VectorEvaluator& eval = workers[worker]->eval;
+        Scratch& scratch = workers[worker]->scratch;
+        for (int64_t start = range_begin; start < range_end;
+             start += tile_size) {
+          int64_t len = std::min(tile_size, range_end - start);
+          FilterToMask(&eval, dim.filter.get(), start, len,
+                       scratch.cmp.data());
+          AndChildBitmaps(child_bitmaps, child_offsets, start, len,
+                          scratch.cmp.data());
+          int32_t n = kernels::SelVecFromCmpNoBranch(scratch.cmp.data(), len,
+                                                     scratch.sel.data());
+          GatherColumnSel(pk, start, scratch.sel.data(), n,
+                          scratch.keys.data());
+          runs.Append(worker, scratch.keys.data(), nullptr, n);
+        }
+      });
+  exec::ThrowIfError(scan_stats.status);
+  return runs;
+}
+
+std::unique_ptr<HashTable> BuildDimKeySet(StrategyKind kind,
+                                          const Catalog& catalog,
+                                          const DimJoin& dim,
+                                          int64_t tile_size, int num_threads,
+                                          exec::QueryContext* ctx) {
+  const int64_t dim_rows = catalog.TableRef(dim.hop.to_table).num_rows();
+  return CollectDimKeyRuns(kind, catalog, dim, tile_size, num_threads, ctx)
+      .BuildTable(/*payload_width=*/0, dim_rows,
+                  /*prefetch=*/kind == StrategyKind::kRof, num_threads,
+                  tile_size);
 }
 
 PositionalBitmap BuildDimBitmap(const Catalog& catalog, const DimJoin& dim,
@@ -294,43 +494,24 @@ PositionalBitmap BuildDimBitmap(const Catalog& catalog, const DimJoin& dim,
   if (ctx != nullptr) {
     bitmap.SetMemHook(exec::QueryContext::MemHookThunk, ctx, "dim_bitmap");
   }
-
-  // Fk offset arrays for the children (sequential reads during the scan).
-  std::vector<const uint32_t*> child_offsets;
-  for (const DimJoin& child : dim.children) {
-    const FkIndex* index =
-        table.GetFkIndex(child.hop.fk_column).ValueOr(nullptr);
-    SWOLE_CHECK(index != nullptr);
-    child_offsets.push_back(index->offsets());
-  }
+  const std::vector<const uint32_t*> child_offsets = ChildOffsets(table, dim);
 
   // Workers fill disjoint row ranges of the shared bitmap. Morsels are
   // 64-row aligned (DefaultMorselSize), so PackBytes never touches a word
   // another worker writes.
-  std::vector<std::unique_ptr<VectorEvaluator>> evals(num_threads);
-  std::vector<std::unique_ptr<Scratch>> scratches(num_threads);
-  for (int w = 0; w < num_threads; ++w) {
-    evals[w] = std::make_unique<VectorEvaluator>(table, tile_size);
-    scratches[w] = std::make_unique<Scratch>(tile_size);
-  }
-
+  auto workers = MakeScanWorkers(table, tile_size, num_threads);
   exec::MorselStats scan_stats = exec::ParallelMorsels(
       ctx, num_threads, table.num_rows(), exec::DefaultMorselSize(tile_size),
       [&](int worker, int64_t range_begin, int64_t range_end) {
-        VectorEvaluator& eval = *evals[worker];
-        Scratch& scratch = *scratches[worker];
+        VectorEvaluator& eval = workers[worker]->eval;
+        Scratch& scratch = workers[worker]->scratch;
         for (int64_t start = range_begin; start < range_end;
              start += tile_size) {
           int64_t len = std::min(tile_size, range_end - start);
           FilterToMask(&eval, dim.filter.get(), start, len,
                        scratch.cmp.data());
-          for (size_t c = 0; c < child_bitmaps.size(); ++c) {
-            const uint32_t* offs = child_offsets[c] + start;
-            const PositionalBitmap& child = child_bitmaps[c];
-            for (int64_t j = 0; j < len; ++j) {
-              scratch.cmp[j] &= static_cast<uint8_t>(child.Test(offs[j]));
-            }
-          }
+          AndChildBitmaps(child_bitmaps, child_offsets, start, len,
+                          scratch.cmp.data());
           // Unconditional store of the predicate result (§III-D option 1).
           bitmap.PackBytes(start, scratch.cmp.data(), len);
         }
@@ -348,29 +529,15 @@ std::unique_ptr<HashTable> BuildReverseKeySet(StrategyKind kind,
   const Table& table = catalog.TableRef(rdim.table);
   const Column& fk = table.ColumnRef(rdim.fk_column);
 
-  // Partitioned build; fk values repeat across morsels, but width-0
-  // partials merge as a set union, so the result is order-independent.
-  std::vector<std::unique_ptr<HashTable>> partials(num_threads);
-  std::vector<std::unique_ptr<VectorEvaluator>> evals(num_threads);
-  std::vector<std::unique_ptr<Scratch>> scratches(num_threads);
-  for (int w = 0; w < num_threads; ++w) {
-    partials[w] = std::make_unique<HashTable>(
-        /*payload_width=*/0,
-        w == 0 ? table.num_rows() : table.num_rows() / num_threads + 16);
-    if (ctx != nullptr) {
-      partials[w]->SetMemHook(exec::QueryContext::MemHookThunk, ctx,
-                              "reverse_keyset");
-    }
-    evals[w] = std::make_unique<VectorEvaluator>(table, tile_size);
-    scratches[w] = std::make_unique<Scratch>(tile_size);
-  }
-
+  // fk values repeat across rows; Append drops adjacent repeats and the
+  // shared insert unions the rest, so the set is order-independent.
+  KeyRuns runs(num_threads, /*with_payload=*/false, ctx, "reverse_keyset");
+  auto workers = MakeScanWorkers(table, tile_size, num_threads);
   exec::MorselStats scan_stats = exec::ParallelMorsels(
       ctx, num_threads, table.num_rows(), exec::DefaultMorselSize(tile_size),
       [&](int worker, int64_t range_begin, int64_t range_end) {
-        VectorEvaluator& eval = *evals[worker];
-        Scratch& scratch = *scratches[worker];
-        HashTable& ht = *partials[worker];
+        VectorEvaluator& eval = workers[worker]->eval;
+        Scratch& scratch = workers[worker]->scratch;
         for (int64_t start = range_begin; start < range_end;
              start += tile_size) {
           int64_t len = std::min(tile_size, range_end - start);
@@ -379,19 +546,25 @@ std::unique_ptr<HashTable> BuildReverseKeySet(StrategyKind kind,
                                      scratch.sel.data());
           GatherColumnSel(fk, start, scratch.sel.data(), n,
                           scratch.keys.data());
-          ht.InsertBatch(scratch.keys.data(), n,
-                         /*prefetch=*/kind == StrategyKind::kRof);
+          runs.Append(worker, scratch.keys.data(), nullptr, n);
         }
       });
   exec::ThrowIfError(scan_stats.status);
+  workers.clear();
 
-  for (int w = 1; w < num_threads; ++w) partials[0]->MergeAdd(*partials[w]);
-  return std::move(partials[0]);
+  // At most one distinct key per row the fk references.
+  const FkIndex* index = table.GetFkIndex(rdim.fk_column).ValueOr(nullptr);
+  const int64_t max_keys =
+      index != nullptr ? index->referenced_size() : runs.total();
+  return runs.BuildTable(/*payload_width=*/0, max_keys,
+                         /*prefetch=*/kind == StrategyKind::kRof, num_threads,
+                         tile_size);
 }
 
 PositionalBitmap BuildReverseBitmap(const Catalog& catalog,
                                     const ReverseDim& rdim,
                                     int64_t fact_rows, int64_t tile_size,
+                                    int num_threads,
                                     exec::QueryContext* ctx) {
   const Table& table = catalog.TableRef(rdim.table);
   const FkIndex* index = table.GetFkIndex(rdim.fk_column).ValueOr(nullptr);
@@ -399,27 +572,42 @@ PositionalBitmap BuildReverseBitmap(const Catalog& catalog,
   SWOLE_CHECK_EQ(index->referenced_size(), fact_rows);
   const uint32_t* offsets = index->offsets();
 
-  VectorEvaluator eval(table, tile_size);
-  Scratch scratch(tile_size);
   PositionalBitmap bitmap(fact_rows);
   if (ctx != nullptr) {
     bitmap.SetMemHook(exec::QueryContext::MemHookThunk, ctx,
                       "reverse_bitmap");
   }
 
-  for (int64_t start = 0; start < table.num_rows(); start += tile_size) {
-    // This scan is inherently sequential (fk offsets land at arbitrary
-    // fact positions), so the per-tile check replaces the morsel-boundary
-    // checkpoint the parallel builders get from the scheduler.
-    if (ctx != nullptr) exec::ThrowIfError(ctx->CheckLive());
-    int64_t len = std::min(tile_size, table.num_rows() - start);
-    FilterToMask(&eval, rdim.filter.get(), start, len, scratch.cmp.data());
-    const uint32_t* offs = offsets + start;
-    for (int64_t j = 0; j < len; ++j) {
-      // OR-store: several rdim rows can reference the same fact row.
-      bitmap.OrTo(offs[j], scratch.cmp[j] != 0);
-    }
-  }
+  auto workers = MakeScanWorkers(table, tile_size, num_threads);
+  exec::MorselStats scan_stats = exec::ParallelMorsels(
+      ctx, num_threads, table.num_rows(), exec::DefaultMorselSize(tile_size),
+      [&](int worker, int64_t range_begin, int64_t range_end) {
+        VectorEvaluator& eval = workers[worker]->eval;
+        uint8_t* cmp = workers[worker]->scratch.cmp.data();
+        for (int64_t start = range_begin; start < range_end;
+             start += tile_size) {
+          int64_t len = std::min(tile_size, range_end - start);
+          FilterToMask(&eval, rdim.filter.get(), start, len, cmp);
+          // OR-store: several rdim rows can reference one fact row, and
+          // rows of other morsels can land in the same word. Bits collect
+          // locally while consecutive offsets stay in one word; each
+          // stretch costs one atomic fetch_or.
+          const uint32_t* offs = offsets + start;
+          int64_t word = -1;
+          uint64_t bits = 0;
+          for (int64_t j = 0; j < len; ++j) {
+            const int64_t w = offs[j] >> 6;
+            if (w != word) {
+              if (bits != 0) bitmap.OrWordAtomic(word, bits);
+              word = w;
+              bits = 0;
+            }
+            bits |= static_cast<uint64_t>(cmp[j]) << (offs[j] & 63);
+          }
+          if (bits != 0) bitmap.OrWordAtomic(word, bits);
+        }
+      });
+  exec::ThrowIfError(scan_stats.status);
   return bitmap;
 }
 
@@ -433,73 +621,49 @@ std::unique_ptr<HashTable> BuildDisjunctiveHt(StrategyKind kind,
   const Table& table = catalog.TableRef(dj.hop.to_table);
   const Column& pk = table.ColumnRef(dj.hop.to_pk_column);
 
-  // Partitioned build: pk keys are unique, so each key (and its clause
-  // bitmask payload) lands in exactly one partial and MergeAdd unions them.
-  std::vector<std::unique_ptr<HashTable>> partials(num_threads);
-  std::vector<std::unique_ptr<VectorEvaluator>> evals(num_threads);
-  std::vector<std::unique_ptr<Scratch>> scratches(num_threads);
-  std::vector<std::vector<uint8_t>> clause_bits(num_threads);
-  for (int w = 0; w < num_threads; ++w) {
-    partials[w] = std::make_unique<HashTable>(
-        /*payload_width=*/1,
-        w == 0 ? table.num_rows() : table.num_rows() / num_threads + 16);
-    if (ctx != nullptr) {
-      partials[w]->SetMemHook(exec::QueryContext::MemHookThunk, ctx,
-                              "disjunctive_ht");
-    }
-    evals[w] = std::make_unique<VectorEvaluator>(table, tile_size);
-    scratches[w] = std::make_unique<Scratch>(tile_size);
-    clause_bits[w].resize(tile_size);
-  }
-
+  // Each qualifying pk key carries its clause bitmask through the runs; pk
+  // keys are unique, so exactly one insert claims each key and writes it.
+  KeyRuns runs(num_threads, /*with_payload=*/true, ctx, "disjunctive_ht");
+  auto workers = MakeScanWorkers(table, tile_size, num_threads);
   exec::MorselStats scan_stats = exec::ParallelMorsels(
       ctx, num_threads, table.num_rows(), exec::DefaultMorselSize(tile_size),
       [&](int worker, int64_t range_begin, int64_t range_end) {
-        VectorEvaluator& eval = *evals[worker];
-        Scratch& scratch = *scratches[worker];
-        HashTable& ht = *partials[worker];
-        uint8_t* bits = clause_bits[worker].data();
+        VectorEvaluator& eval = workers[worker]->eval;
+        Scratch& scratch = workers[worker]->scratch;
+        int64_t* bits = scratch.vals.data();
         for (int64_t start = range_begin; start < range_end;
              start += tile_size) {
           int64_t len = std::min(tile_size, range_end - start);
-          std::memset(bits, 0, len);
+          std::fill(bits, bits + len, 0);
           for (size_t c = 0; c < dj.clauses.size(); ++c) {
             FilterToMask(&eval, dj.clauses[c].dim_filter.get(), start, len,
                          scratch.cmp.data());
             for (int64_t j = 0; j < len; ++j) {
-              bits[j] |= static_cast<uint8_t>(scratch.cmp[j] << c);
+              bits[j] |= static_cast<int64_t>(scratch.cmp[j]) << c;
             }
           }
           WidenColumn(pk, start, len, scratch.keys.data());
-          // Compact the qualifying lanes, then insert as one batch.
+          // Compact the qualifying lanes, then append as one batch.
           int32_t m = 0;
           for (int64_t j = 0; j < len; ++j) {
             scratch.keys[m] = scratch.keys[j];
             bits[m] = bits[j];
             m += bits[j] != 0;
           }
-          ht.GetOrInsertBatch(scratch.keys.data(), m, scratch.ptrs.data(),
-                              /*prefetch=*/false);
-          for (int32_t k = 0; k < m; ++k) *scratch.ptrs[k] = bits[k];
+          runs.Append(worker, scratch.keys.data(), bits, m);
         }
       });
   exec::ThrowIfError(scan_stats.status);
-
-  for (int w = 1; w < num_threads; ++w) partials[0]->MergeAdd(*partials[w]);
-  return std::move(partials[0]);
+  workers.clear();
+  return runs.BuildTable(/*payload_width=*/1, table.num_rows(),
+                         /*prefetch=*/false, num_threads, tile_size);
 }
 
 std::vector<PositionalBitmap> BuildDisjunctiveBitmaps(
     const Catalog& catalog, const DisjunctiveJoin& dj, int64_t tile_size,
     int num_threads, exec::QueryContext* ctx) {
   const Table& table = catalog.TableRef(dj.hop.to_table);
-
-  std::vector<std::unique_ptr<VectorEvaluator>> evals(num_threads);
-  std::vector<std::unique_ptr<Scratch>> scratches(num_threads);
-  for (int w = 0; w < num_threads; ++w) {
-    evals[w] = std::make_unique<VectorEvaluator>(table, tile_size);
-    scratches[w] = std::make_unique<Scratch>(tile_size);
-  }
+  auto workers = MakeScanWorkers(table, tile_size, num_threads);
 
   std::vector<PositionalBitmap> bitmaps;
   bitmaps.reserve(dj.clauses.size());
@@ -513,14 +677,13 @@ std::vector<PositionalBitmap> BuildDisjunctiveBitmaps(
         ctx, num_threads, table.num_rows(),
         exec::DefaultMorselSize(tile_size),
         [&](int worker, int64_t range_begin, int64_t range_end) {
-          VectorEvaluator& eval = *evals[worker];
-          Scratch& scratch = *scratches[worker];
+          VectorEvaluator& eval = workers[worker]->eval;
+          uint8_t* cmp = workers[worker]->scratch.cmp.data();
           for (int64_t start = range_begin; start < range_end;
                start += tile_size) {
             int64_t len = std::min(tile_size, range_end - start);
-            FilterToMask(&eval, clause.dim_filter.get(), start, len,
-                         scratch.cmp.data());
-            bitmap.PackBytes(start, scratch.cmp.data(), len);
+            FilterToMask(&eval, clause.dim_filter.get(), start, len, cmp);
+            bitmap.PackBytes(start, cmp, len);
           }
         });
     exec::ThrowIfError(scan_stats.status);
@@ -888,8 +1051,6 @@ GroupTable::GroupTable(const QueryPlan& plan, int64_t expected_keys,
   table_.GetOrInsert(HashTable::kMaskKey);
 }
 
-void GroupTable::SeedKey(int64_t key) { table_.GetOrInsert(key); }
-
 // Budget refusals during a spill retry can be transient: sibling workers
 // charge the same QueryContext and release their tables the next time they
 // are themselves refused. A handful of retries rides out that contention;
@@ -912,13 +1073,11 @@ void GroupTable::SpillAndReset() {
   // itself) must classify on its own, not as the recovered budget abort.
   if (ctx_ != nullptr) ctx_->ClearRecoveredBudgetAbort();
   exec::ThrowIfError(spill_->SpillTable(table_, HashTable::kMaskKey));
-  // Move-assigning a fresh table releases the full old charge through the
-  // hook before the minimum footprint is charged back.
-  table_ = HashTable(1 + num_aggs_, 16);
-  if (ctx_ != nullptr) {
-    table_.SetMemHook(exec::QueryContext::MemHookThunk, ctx_, site_);
-    ctx_->CountSpill();
-  }
+  // Clear shrinks the charge in one step: a restart that re-charged its
+  // minimum footprint could be refused by siblings holding the budget,
+  // and that refusal would escape the retry loop this runs in.
+  table_.Clear();
+  if (ctx_ != nullptr) ctx_->CountSpill();
   table_.GetOrInsert(HashTable::kMaskKey);
 }
 
@@ -1066,10 +1225,10 @@ void GroupTable::UpdateJoinSel(const int64_t* keys,
 }
 
 std::unique_ptr<GroupTable> GroupTable::CloneKeysOnly() const {
-  auto clone = std::make_unique<GroupTable>(plan_, table_.size(), ctx_, site_);
-  table_.ForEach([&](int64_t key, const int64_t*) {
-    clone->table_.GetOrInsert(key);
-  });
+  auto clone = std::make_unique<GroupTable>(plan_, 16, ctx_, site_);
+  clone->table_ = table_.CloneKeys(
+      ctx_ != nullptr ? exec::QueryContext::MemHookThunk : nullptr, ctx_,
+      site_);
   return clone;
 }
 
@@ -1101,10 +1260,7 @@ Result<QueryResult> GroupTable::ExtractSpilled(const QueryPlan& plan,
   // partition its hash prefix names, then release the table's charge — the
   // merge phase wants the budget headroom for its rebuild tables.
   SWOLE_RETURN_NOT_OK(spill_->SpillTable(table_, HashTable::kMaskKey));
-  table_ = HashTable(1 + num_aggs_, 16);
-  if (ctx_ != nullptr) {
-    table_.SetMemHook(exec::QueryContext::MemHookThunk, ctx_, site_);
-  }
+  table_.Clear();
   table_.GetOrInsert(HashTable::kMaskKey);
   SWOLE_RETURN_NOT_OK(spill_->Flush());
 
@@ -1235,6 +1391,60 @@ double AvgFactReadWidthBytes(const Table& fact, const QueryPlan& plan) {
     bytes += PhysicalTypeSize(fact.ColumnRef(ref).type().physical);
   }
   return static_cast<double>(bytes) / static_cast<double>(refs.size());
+}
+
+int FindGroupjoinDim(const QueryPlan& plan) {
+  if (plan.group_by == nullptr ||
+      plan.group_by->kind != ExprKind::kColumnRef) {
+    return -1;
+  }
+  for (size_t d = 0; d < plan.dims.size(); ++d) {
+    if (plan.dims[d].hop.fk_column == plan.group_by->column) {
+      return static_cast<int>(d);
+    }
+  }
+  return -1;
+}
+
+bool GroupSeedCoversDim(const QueryPlan& plan, const DimJoin& dim) {
+  return plan.group_seed.has_value() &&
+         plan.group_seed->table == dim.hop.to_table &&
+         plan.group_seed->key_column == dim.hop.to_pk_column;
+}
+
+int64_t GroupjoinTableKeys(const Catalog& catalog, const QueryPlan& plan,
+                           const KeyRuns* runs) {
+  int64_t keys = runs != nullptr ? runs->total() : 0;
+  if (plan.group_seed.has_value()) {
+    keys += catalog.TableRef(plan.group_seed->table).num_rows();
+  }
+  return std::max(keys, ExpectedGroups(catalog, plan));
+}
+
+void SeedGroups(const Catalog& catalog, const QueryPlan& plan,
+                GroupTable* groups, int64_t tile_size, int num_threads,
+                exec::QueryContext* ctx) {
+  if (!plan.group_seed.has_value()) return;
+  const Table& table = catalog.TableRef(plan.group_seed->table);
+  const Column& key_col = table.ColumnRef(plan.group_seed->key_column);
+  HashTable& ht = groups->table();
+  ht.ReserveFor(table.num_rows());
+  std::vector<std::vector<int64_t>> keys(num_threads,
+                                         std::vector<int64_t>(tile_size));
+  SharedInsertPhase(
+      &ht, ctx, num_threads, table.num_rows(), tile_size,
+      [&](int worker, int64_t range_begin, int64_t range_end) {
+        int64_t* buffer = keys[worker].data();
+        int64_t claimed = 0;
+        for (int64_t start = range_begin; start < range_end;
+             start += tile_size) {
+          int64_t len = std::min(tile_size, range_end - start);
+          WidenColumn(key_col, start, len, buffer);
+          claimed += ht.InsertSharedBatch(buffer, nullptr, len,
+                                          /*prefetch=*/false);
+        }
+        return claimed;
+      });
 }
 
 int64_t ExpectedGroups(const Catalog& catalog, const QueryPlan& plan) {

@@ -73,20 +73,92 @@ int32_t CompactSel(StrategyKind kind, int32_t* sel, const uint8_t* flags,
 double AvgFactReadWidthBytes(const Table& fact, const QueryPlan& plan);
 
 // ---- Build-side structures ----
+//
+// Every build-side hash structure is built in two phases (DESIGN.md §7).
+// Phase 1 is the morsel-parallel dim scan: each worker appends the keys
+// that qualify in its morsels to its own run (KeyRuns). Phase 2 sizes one
+// table from the exact run total and fills it with a morsel-parallel
+// shared insert (HashTable::InsertShared). The built set, and each key's
+// payload, do not depend on insert order; only slot placement does.
+//
+// All build-side constructors below take an optional QueryContext: when
+// set, the structures they build — runs included — charge the memory
+// tracker (per-operator sites "dim_keyset" / "dim_bitmap" /
+// "reverse_keyset" / "reverse_bitmap" / "disjunctive_ht" /
+// "disjunctive_bitmap") and their parallel scans are governed. A refused
+// charge or fired checkpoint propagates by exception (QueryAbort /
+// ThrownStatus), caught at the engine's Execute boundary.
+
+/// Phase-1 output of a two-phase build: one append-only run per worker of
+/// the keys that qualified in its morsels, in scan order, plus one int64
+/// payload word per key for payload builds (whose keys must be unique).
+/// Append drops a key equal to the previous key of its run, which removes
+/// most duplicates of a clustered fk at no cost. Runs charge the tracker
+/// at `site` before they grow and release the charge on destruction.
+class KeyRuns {
+ public:
+  KeyRuns(int num_workers, bool with_payload, exec::QueryContext* ctx,
+          const char* site);
+  KeyRuns(KeyRuns&& other) noexcept = default;
+  KeyRuns& operator=(KeyRuns&&) = delete;
+  ~KeyRuns();
+
+  /// Appends keys[0..n) (and payload[0..n) for payload runs) to `worker`'s
+  /// run. Only `worker` may append to its run.
+  void Append(int worker, const int64_t* keys, const int64_t* payload,
+              int32_t n);
+
+  /// Entries over all runs: an upper bound on the distinct keys.
+  int64_t total() const;
+
+  /// Phase 2: reserves room in `table` for min(total(), max_keys) more
+  /// keys, inserts every run entry with one morsel-parallel shared insert,
+  /// then adds the claimed count once. A payload run's entry stores its
+  /// payload word into the key's first payload slot.
+  void InsertInto(HashTable* table, int64_t max_keys, bool prefetch,
+                  int num_threads, int64_t tile_size) const;
+
+  /// A table charged at the runs' site, sized for min(total(), max_keys)
+  /// keys and filled by InsertInto.
+  std::unique_ptr<HashTable> BuildTable(int payload_width, int64_t max_keys,
+                                        bool prefetch, int num_threads,
+                                        int64_t tile_size) const;
+
+ private:
+  struct Run {
+    std::vector<int64_t> keys;
+    std::vector<int64_t> payload;
+    int64_t charged = 0;  // bytes charged for this run's capacity
+  };
+
+  void Reserve(Run* run, size_t needed);
+
+  std::vector<Run> runs_;
+  bool with_payload_;
+  exec::QueryContext* ctx_;
+  const char* site_;
+};
+
+/// Phase 1 of BuildDimKeySet: the pk values of `dim`'s qualifying rows —
+/// the dim scan uses the strategy's filter style and probes child key
+/// sets (built first, bottom-up through the snowflake, and freed on
+/// return), which ROF prefetches. Runs charge "dim_keyset".
+KeyRuns CollectDimKeyRuns(StrategyKind kind, const Catalog& catalog,
+                          const DimJoin& dim, int64_t tile_size,
+                          int num_threads = 1,
+                          exec::QueryContext* ctx = nullptr);
+
+/// Positional phase 1 (SWOLE's groupjoin build): the pk values of `dim`'s
+/// rows that pass its filter and whose child dims qualify through
+/// positional bitmaps. Runs charge `site`.
+KeyRuns CollectDimKeyRunsPositional(const Catalog& catalog,
+                                    const DimJoin& dim, int64_t tile_size,
+                                    int num_threads, exec::QueryContext* ctx,
+                                    const char* site);
 
 /// Hash-based qualifying key set for a dimension subtree (width-0 table of
-/// dim pk values). Used by data-centric, hybrid, and ROF. Builds child key
-/// sets recursively; the dim scan uses the strategy's filter style and ROF
-/// prefetches its child probes.
-/// With num_threads > 1 the dim scan is partitioned into morsels: each
-/// worker fills a private partial table, merged via HashTable::MergeAdd
-/// in worker order (pk keys are unique, so the merge is a disjoint union).
-/// All build-side constructors below take an optional QueryContext: when
-/// set, the structures they build charge the memory tracker (per-operator
-/// sites "dim_keyset" / "dim_bitmap" / "reverse_keyset" / "reverse_bitmap" /
-/// "disjunctive_ht" / "disjunctive_bitmap") and internal parallel scans are
-/// governed. A refused charge or fired checkpoint propagates by exception
-/// (QueryAbort / ThrownStatus), caught at the engine's Execute boundary.
+/// dim pk values). Used by data-centric, hybrid, and ROF: CollectDimKeyRuns
+/// then a table sized for the runs (ROF prefetches the shared insert).
 std::unique_ptr<HashTable> BuildDimKeySet(StrategyKind kind,
                                           const Catalog& catalog,
                                           const DimJoin& dim,
@@ -104,24 +176,26 @@ PositionalBitmap BuildDimBitmap(const Catalog& catalog, const DimJoin& dim,
 
 /// Hash set of fk *values* for a reverse dim (Q4's EXISTS): the keys are
 /// rdim.fk_column values of qualifying rdim rows; the fact probes with its
-/// pk value.
+/// pk value. The table is sized for min(run total, rows the fk
+/// references).
 std::unique_ptr<HashTable> BuildReverseKeySet(
     StrategyKind kind, const Catalog& catalog, const ReverseDim& rdim,
     int64_t tile_size, int num_threads = 1, exec::QueryContext* ctx = nullptr);
 
 /// Positional bitmap over *fact* offsets for a reverse dim: scanning the
-/// rdim table sequentially, OR the predicate result into the bit at the fk
-/// offset (multiple rdim rows may map to one fact row). Always sequential:
-/// fk offsets land at arbitrary fact positions, so partitioned workers
-/// would race on bitmap words.
+/// rdim table morsel-parallel, OR the predicate result into the bit at the
+/// fk offset (multiple rdim rows may map to one fact row). Fk offsets land
+/// at arbitrary fact positions, so workers share words: each issues one
+/// atomic fetch_or per stretch of rows whose offsets fall in one word.
 PositionalBitmap BuildReverseBitmap(const Catalog& catalog,
                                     const ReverseDim& rdim,
                                     int64_t fact_rows, int64_t tile_size,
+                                    int num_threads = 1,
                                     exec::QueryContext* ctx = nullptr);
 
 /// Hash table for a disjunctive join (Q19): keys are dim pk values of rows
 /// matching at least one clause; payload[0] is the bitmask of matching
-/// clauses.
+/// clauses, carried through the runs beside each key.
 std::unique_ptr<HashTable> BuildDisjunctiveHt(
     StrategyKind kind, const Catalog& catalog, const DisjunctiveJoin& dj,
     int64_t tile_size, int num_threads = 1, exec::QueryContext* ctx = nullptr);
@@ -131,6 +205,22 @@ std::unique_ptr<HashTable> BuildDisjunctiveHt(
 std::vector<PositionalBitmap> BuildDisjunctiveBitmaps(
     const Catalog& catalog, const DisjunctiveJoin& dj, int64_t tile_size,
     int num_threads = 1, exec::QueryContext* ctx = nullptr);
+
+/// Index of the dimension whose join key doubles as the group-by key (the
+/// groupjoin fusion of §III-E / TPC-H Q3, Q13), or -1.
+int FindGroupjoinDim(const QueryPlan& plan);
+
+/// True when the plan's group seed inserts every pk of `dim` (Q13 seeds
+/// customer.c_custkey and groupjoins customer), so the dim's qualifying
+/// keys are already in a seeded group table.
+bool GroupSeedCoversDim(const QueryPlan& plan, const DimJoin& dim);
+
+/// Keys to size a groupjoin table for: the group-seed rows plus the fused
+/// dim's run entries (`runs` is null when the seed covers the dim), but no
+/// fewer than ExpectedGroups — a join-mode probe that misses walks a longer
+/// slot run in a fuller table, so a larger expected count keeps its load.
+int64_t GroupjoinTableKeys(const Catalog& catalog, const QueryPlan& plan,
+                           const KeyRuns* runs);
 
 // ---- Column paths (late materialization, §III-D) ----
 
@@ -216,10 +306,6 @@ class GroupTable {
              exec::QueryContext* ctx = nullptr,
              const char* site = "group_table");
 
-  /// Inserts `key` with zeroed aggregates if absent (groupjoin build /
-  /// group seeding).
-  void SeedKey(int64_t key);
-
   /// Insert-mode update for compacted lanes (plain group-by).
   /// keys[k] / values[a][k] refer to the k-th selected lane.
   void UpdateSel(const int64_t* keys, const std::vector<int64_t*>& values,
@@ -303,8 +389,9 @@ class GroupTable {
 
  private:
   /// Spills every accumulated group to spill_ and restarts the table empty
-  /// (the move-assign releases the old charge before the minimum footprint
-  /// is re-charged). Throws exec::ThrownStatus on spill I/O failure.
+  /// at its minimum footprint (HashTable::Clear: the charge only shrinks,
+  /// so the restart cannot be refused). Throws exec::ThrownStatus on spill
+  /// I/O failure.
   void SpillAndReset();
 
   /// Runs one batch update, spilling and retrying once on a budget refusal
@@ -329,6 +416,13 @@ class GroupTable {
   exec::SpillManager* spill_ = nullptr;  // non-owning; null = no spill
   int64_t spill_soft_cap_ = 0;           // per-table quota; 0 = uncapped
 };
+
+/// Inserts every key of the plan's group seed (Q13's groups without fact
+/// rows) into `groups` with zeroed aggregates: room for them is reserved,
+/// then one morsel-parallel shared insert fills it.
+void SeedGroups(const Catalog& catalog, const QueryPlan& plan,
+                GroupTable* groups, int64_t tile_size, int num_threads,
+                exec::QueryContext* ctx);
 
 /// Initializes a scalar accumulator to each aggregate's identity (0 for
 /// sum/count, +inf/-inf sentinels for min/max).

@@ -26,21 +26,6 @@ using pipeline::Scratch;
 
 namespace {
 
-// Index of the dimension whose join key doubles as the group-by key (the
-// groupjoin fusion of §III-E / TPC-H Q3, Q13), or -1.
-int FindGroupjoinDim(const QueryPlan& plan) {
-  if (plan.group_by == nullptr ||
-      plan.group_by->kind != ExprKind::kColumnRef) {
-    return -1;
-  }
-  for (size_t d = 0; d < plan.dims.size(); ++d) {
-    if (plan.dims[d].hop.fk_column == plan.group_by->column) {
-      return static_cast<int>(d);
-    }
-  }
-  return -1;
-}
-
 // Bound-once metric handles per strategy kind. One HashStrategyEngine
 // class serves three kinds, so a single function-local static at the call
 // site would bind whichever kind executed first; and per-call
@@ -173,7 +158,7 @@ Result<QueryResult> HashStrategyEngine::ExecuteGoverned(
   phase.emplace(trace, "build");
 
   // ---- Build phase ----
-  const int groupjoin_dim = FindGroupjoinDim(plan);
+  const int groupjoin_dim = pipeline::FindGroupjoinDim(plan);
 
   std::vector<std::unique_ptr<HashTable>> dim_sets(plan.dims.size());
   for (size_t d = 0; d < plan.dims.size(); ++d) {
@@ -209,31 +194,30 @@ Result<QueryResult> HashStrategyEngine::ExecuteGoverned(
     // Under spill, skip the cardinality-sized pre-allocation: charging the
     // full estimate upfront would breach the budget before a single row is
     // aggregated. The table starts minimal and grows (or spills) on demand.
-    groups = std::make_unique<GroupTable>(
-        plan, spillable ? 16 : pipeline::ExpectedGroups(catalog_, plan),
-        qctx);
-    if (plan.group_seed.has_value()) {
-      const Table& seed_table = catalog_.TableRef(plan.group_seed->table);
-      const Column& key_col =
-          seed_table.ColumnRef(plan.group_seed->key_column);
-      for (int64_t start = 0; start < seed_table.num_rows(); start += tile) {
-        int64_t len = std::min(tile, seed_table.num_rows() - start);
-        DispatchPhysical(key_col.type().physical, [&]<typename T>() {
-          const T* data = key_col.Data<T>() + start;
-          for (int64_t j = 0; j < len; ++j) {
-            groups->SeedKey(static_cast<int64_t>(data[j]));
-          }
-        });
-      }
-    }
+    int64_t expected_groups =
+        spillable ? 16 : pipeline::ExpectedGroups(catalog_, plan);
+    // A groupjoin table holds exactly the fused dimension's qualifying keys
+    // (so probe misses mean "join filtered") plus any seeds: the dim's runs
+    // size it and seed it directly. A seed that covers the dim's pk already
+    // inserts every such key.
+    std::optional<pipeline::KeyRuns> groupjoin_runs;
     if (groupjoin_dim >= 0) {
-      // Build the groupjoin table from the fused dimension: every
-      // qualifying dim key is seeded (so probe misses mean "join filtered").
       const DimJoin& dim = plan.dims[groupjoin_dim];
-      std::unique_ptr<HashTable> qualifying = pipeline::BuildDimKeySet(
-          kind_, catalog_, dim, tile, num_threads, qctx);
-      qualifying->ForEach(
-          [&](int64_t key, const int64_t*) { groups->SeedKey(key); });
+      if (!pipeline::GroupSeedCoversDim(plan, dim)) {
+        groupjoin_runs.emplace(pipeline::CollectDimKeyRuns(
+            kind_, catalog_, dim, tile, num_threads, qctx));
+      }
+      expected_groups = pipeline::GroupjoinTableKeys(
+          catalog_, plan, groupjoin_runs ? &*groupjoin_runs : nullptr);
+    }
+    groups = std::make_unique<GroupTable>(plan, expected_groups, qctx);
+    pipeline::SeedGroups(catalog_, plan, groups.get(), tile, num_threads,
+                         qctx);
+    if (groupjoin_runs.has_value()) {
+      groupjoin_runs->InsertInto(
+          &groups->table(),
+          catalog_.TableRef(plan.dims[groupjoin_dim].hop.to_table).num_rows(),
+          /*prefetch=*/rof, num_threads, tile);
     }
     if (spillable) {
       exec::SpillConfig spill_cfg = exec::SpillConfig::FromEnv();
@@ -557,6 +541,11 @@ Result<QueryResult> HashStrategyEngine::ExecuteGoverned(
       ctx.carry_n = 0;
     }
   }
+  // The carry flush was the build structures' last reader: free them now,
+  // so merge and extract run without them resident.
+  dim_sets.clear();
+  reverse_sets.clear();
+  disjunctive_ht.reset();
   for (int w = 1; w < num_threads; ++w) {
     pipeline::MergeScalarAcc(plan, ctxs[0]->scalar_acc.data(),
                              ctxs[w]->scalar_acc.data());

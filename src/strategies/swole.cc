@@ -67,19 +67,6 @@ double EstimateDimTreeSelectivity(const Catalog& catalog,
   return sel;
 }
 
-int FindGroupjoinDim(const QueryPlan& plan) {
-  if (plan.group_by == nullptr ||
-      plan.group_by->kind != ExprKind::kColumnRef) {
-    return -1;
-  }
-  for (size_t d = 0; d < plan.dims.size(); ++d) {
-    if (plan.dims[d].hop.fk_column == plan.group_by->column) {
-      return static_cast<int>(d);
-    }
-  }
-  return -1;
-}
-
 // An access-merging opportunity (§III-C): aggregate `agg_index` references
 // `column`, which also appears in the simple fact-filter conjunct
 // `conjunct_index` as `column OP literal`. The conjunct is folded into the
@@ -132,24 +119,22 @@ struct SwoleStrategy::PlanAnalysis {
   StringPredSplit str_split;
 };
 
-// Memoized analysis + the decision trace it produced. refit_epoch records
-// which cost-feedback state the analysis was made under: -1 = refit not
-// applied (the profile was the static one), otherwise the feedback epoch.
+// Memoized analysis + the decision trace it produced, keyed by the plan's
+// structural fingerprint (QueryPlan::ToString). refit_epoch records which
+// cost-feedback state the analysis was made under: -1 = refit not applied
+// (the profile was the static one), otherwise the feedback epoch.
 struct SwoleStrategy::CachedAnalysis {
+  // The entry's own clone of the analyzed plan: the analysis holds
+  // pointers into its expression tree (str_split.pulled), and a caller's
+  // plan may be destroyed, or its address reused, while the entry lives.
+  QueryPlan plan;
   PlanAnalysis analysis;
   SwoleDecisions decisions;
   int64_t refit_epoch = -1;
   // The SWOLE_STR_PLACEMENT mode the analysis was made under: tests and
-  // benches flip the env between queries on the same plan object, so a
-  // mode change must invalidate the memoized split.
+  // benches flip the env between queries on the same plan, so a mode
+  // change must invalidate the memoized split.
   StringPlacementMode str_mode = StringPlacementMode::kAuto;
-  // Name of the plan the entry was computed for. The cache is keyed by
-  // plan address, and a destroyed plan's address can be reused by a
-  // different plan (e.g. two temporaries in a row); the analysis holds
-  // pointers into the analyzed plan's expression tree, so following a
-  // stale entry would chase dangling pointers. A name mismatch retires
-  // the entry instead.
-  std::string plan_name;
 };
 
 SwoleStrategy::SwoleStrategy(const Catalog& catalog, StrategyOptions options)
@@ -282,11 +267,12 @@ Result<QueryResult> SwoleStrategy::Execute(const QueryPlan& plan) {
 }
 
 const SwoleStrategy::CachedAnalysis& SwoleStrategy::Analyze(
-    const QueryPlan& plan) {
+    const QueryPlan& requested) {
   // One lock over lookup + compute + publish: analyses are cheap relative
-  // to execution and memoized per plan object, so serializing them is not
-  // a serving bottleneck; entries are heap-stable once published, so the
-  // returned reference outlives the lock.
+  // to execution and memoized per plan structure, so serializing them is
+  // not a serving bottleneck; entries are heap-stable once published, so
+  // the returned reference outlives the lock.
+  const std::string fingerprint = requested.ToString();
   std::lock_guard<std::mutex> lock(analysis_mu_);
   // Under SWOLE_COST_REFIT=apply the decisions are made on the refitted
   // profile, and a memoized entry is only valid for the feedback epoch it
@@ -298,11 +284,10 @@ const SwoleStrategy::CachedAnalysis& SwoleStrategy::Analyze(
   const int64_t refit_epoch =
       refit_apply ? cost::CostFeedback::Global().epoch() : -1;
   const StringPlacementMode str_mode = StringPlacementModeFromEnv();
-  auto cache_it = analysis_cache_.find(&plan);
+  auto cache_it = analysis_cache_.find(fingerprint);
   if (cache_it != analysis_cache_.end() &&
       cache_it->second->refit_epoch == refit_epoch &&
-      cache_it->second->str_mode == str_mode &&
-      cache_it->second->plan_name == plan.name) {
+      cache_it->second->str_mode == str_mode) {
     decisions_ = cache_it->second->decisions;
     return *cache_it->second;
   }
@@ -310,6 +295,9 @@ const SwoleStrategy::CachedAnalysis& SwoleStrategy::Analyze(
     retired_analyses_.push_back(std::move(cache_it->second));
     analysis_cache_.erase(cache_it);
   }
+  auto cached = std::make_unique<CachedAnalysis>();
+  cached->plan = requested.Clone();
+  const QueryPlan& plan = cached->plan;
   const CostProfile profile =
       refit_apply ? cost::CostFeedback::Global().Refitted(profile_)
                   : profile_;
@@ -380,7 +368,7 @@ const SwoleStrategy::CachedAnalysis& SwoleStrategy::Analyze(
     decisions_.rationale += "[" + analysis.str_split.rationale + "] ";
   }
 
-  analysis.groupjoin_dim = FindGroupjoinDim(plan);
+  analysis.groupjoin_dim = pipeline::FindGroupjoinDim(plan);
 
   // ---- Eager aggregation decision (§III-E) ----
   bool ea_eligible = options_.enable_eager_aggregation &&
@@ -570,13 +558,11 @@ const SwoleStrategy::CachedAnalysis& SwoleStrategy::Analyze(
     }
   }
 
-  auto cached = std::make_unique<CachedAnalysis>();
   cached->analysis = std::move(analysis);
   cached->decisions = decisions_;
   cached->refit_epoch = refit_epoch;
   cached->str_mode = str_mode;
-  cached->plan_name = plan.name;
-  cache_it = analysis_cache_.emplace(&plan, std::move(cached)).first;
+  cache_it = analysis_cache_.emplace(fingerprint, std::move(cached)).first;
   return *cache_it->second;
 }
 
@@ -710,7 +696,7 @@ Result<QueryResult> SwoleStrategy::ExecuteGeneral(
   std::vector<PositionalBitmap> reverse_bitmaps;
   for (const ReverseDim& rdim : plan.reverse_dims) {
     reverse_bitmaps.push_back(pipeline::BuildReverseBitmap(
-        catalog_, rdim, fact.num_rows(), tile, qctx));
+        catalog_, rdim, fact.num_rows(), tile, num_threads, qctx));
   }
 
   std::vector<PositionalBitmap> clause_bitmaps;
@@ -761,14 +747,9 @@ Result<QueryResult> SwoleStrategy::ExecuteGeneral(
     // aggregated. The table starts minimal and grows (or spills) on demand.
     groups = std::make_unique<GroupTable>(
         plan, spillable ? 16 : analysis.expected_groups, qctx);
-    if (plan.group_seed.has_value()) {
-      const Table& seed_table = catalog_.TableRef(plan.group_seed->table);
-      const Column& key_col =
-          seed_table.ColumnRef(plan.group_seed->key_column);
-      for (int64_t row = 0; row < seed_table.num_rows(); ++row) {
-        groups->SeedKey(key_col.ValueAt(row));
-      }
-    } else if (spillable) {
+    pipeline::SeedGroups(catalog_, plan, groups.get(), tile, num_threads,
+                         qctx);
+    if (spillable) {
       exec::SpillConfig spill_cfg = exec::SpillConfig::FromEnv();
       spill_cfg.enabled = true;
       spill = std::make_unique<exec::SpillManager>(
@@ -1186,6 +1167,13 @@ Result<QueryResult> SwoleStrategy::ExecuteGeneral(
   SWOLE_RETURN_NOT_OK(probe_stats.status);
 
   phase.emplace(trace, "merge");
+  // The probe was the build structures' last reader: free them before the
+  // merge, so merge and extract run without them resident.
+  dim_bitmaps.clear();
+  dim_compressed.clear();
+  dim_sets.clear();
+  reverse_bitmaps.clear();
+  clause_bitmaps.clear();
   // Ordered merge of worker-local states (DESIGN.md §7).
   for (int w = 1; w < num_threads; ++w) {
     pipeline::MergeScalarAcc(plan, ctxs[0]->scalar_acc.data(),
@@ -1220,57 +1208,33 @@ Result<QueryResult> SwoleStrategy::ExecuteGroupjoin(
   const int64_t tile = options_.tile_size;
   const int num_threads = exec::ResolveNumThreads(options_.num_threads);
   const Table& fact = catalog_.TableRef(plan.fact_table);
-  Scratch scratch(tile);  // build/seed-phase scratch (caller thread only)
 
   obs::QueryTrace* trace = qctx != nullptr ? qctx->trace() : nullptr;
   std::optional<obs::SpanScope> phase;
   phase.emplace(trace, "build");
 
   const DimJoin& gdim = plan.dims[analysis.groupjoin_dim];
-  const Table& dim_table = catalog_.TableRef(gdim.hop.to_table);
 
-  // Seed the groupjoin table with qualifying dim keys: local filter plus
-  // child qualification through positional bitmaps.
-  GroupTable groups(plan, dim_table.num_rows(), qctx);
-  if (plan.group_seed.has_value()) {
-    const Table& seed_table = catalog_.TableRef(plan.group_seed->table);
-    const Column& key_col = seed_table.ColumnRef(plan.group_seed->key_column);
-    for (int64_t row = 0; row < seed_table.num_rows(); ++row) {
-      groups.SeedKey(key_col.ValueAt(row));
-    }
+  // The groupjoin table holds the qualifying dim keys (local filter plus
+  // child qualification through positional bitmaps) and any seeds. The dim
+  // is qualified morsel-parallel into runs, which size the table and fill
+  // it with a shared insert; a seed covering the dim's pk already holds
+  // every such key.
+  std::optional<pipeline::KeyRuns> runs;
+  if (!pipeline::GroupSeedCoversDim(plan, gdim)) {
+    runs.emplace(pipeline::CollectDimKeyRunsPositional(
+        catalog_, gdim, tile, num_threads, qctx, "group_table"));
   }
-  {
-    std::vector<PositionalBitmap> child_bitmaps;
-    std::vector<const uint32_t*> child_offsets;
-    for (const DimJoin& child : gdim.children) {
-      child_bitmaps.push_back(
-          pipeline::BuildDimBitmap(catalog_, child, tile, num_threads, qctx));
-      const FkIndex* index =
-          dim_table.GetFkIndex(child.hop.fk_column).ValueOr(nullptr);
-      SWOLE_CHECK(index != nullptr);
-      child_offsets.push_back(index->offsets());
-    }
-    VectorEvaluator dim_eval(dim_table, tile);
-    const Column& pk = dim_table.ColumnRef(gdim.hop.to_pk_column);
-    for (int64_t start = 0; start < dim_table.num_rows(); start += tile) {
-      if (qctx != nullptr) exec::ThrowIfError(qctx->CheckLive());
-      int64_t len = std::min(tile, dim_table.num_rows() - start);
-      pipeline::FilterToMask(&dim_eval, gdim.filter.get(), start, len,
-                             scratch.cmp.data());
-      for (size_t c = 0; c < child_bitmaps.size(); ++c) {
-        const uint32_t* offs = child_offsets[c] + start;
-        for (int64_t j = 0; j < len; ++j) {
-          scratch.cmp[j] &=
-              static_cast<uint8_t>(child_bitmaps[c].Test(offs[j]));
-        }
-      }
-      DispatchPhysical(pk.type().physical, [&]<typename T>() {
-        const T* data = pk.Data<T>() + start;
-        for (int64_t j = 0; j < len; ++j) {
-          if (scratch.cmp[j]) groups.SeedKey(static_cast<int64_t>(data[j]));
-        }
-      });
-    }
+  GroupTable groups(plan,
+                    pipeline::GroupjoinTableKeys(catalog_, plan,
+                                                 runs ? &*runs : nullptr),
+                    qctx);
+  pipeline::SeedGroups(catalog_, plan, &groups, tile, num_threads, qctx);
+  if (runs.has_value()) {
+    runs->InsertInto(&groups.table(),
+                     catalog_.TableRef(gdim.hop.to_table).num_rows(),
+                     /*prefetch=*/true, num_threads, tile);
+    runs.reset();
   }
 
   // Other dims qualify the fact through bitmaps.
@@ -1440,10 +1404,15 @@ Result<QueryResult> SwoleStrategy::ExecuteGroupjoin(
   phase.reset();
   SWOLE_RETURN_NOT_OK(probe_stats.status);
 
-  // Ordered merge of worker-local join-mode states.
+  // Ordered merge of worker-local join-mode states. The probe was the
+  // other-dim bitmaps' last reader, and each worker table is released as
+  // soon as it is merged, so extract runs with neither resident.
   phase.emplace(trace, "merge");
+  other_bitmaps.clear();
   for (int w = 1; w < num_threads; ++w) {
     groups.MergeFrom(*ctxs[w]->groups);
+    ctxs[w]->groups = nullptr;
+    ctxs[w]->owned_groups.reset();
   }
   phase.reset();
 
@@ -1597,6 +1566,8 @@ Result<QueryResult> SwoleStrategy::ExecuteEagerAggregation(
   phase.emplace(trace, "merge");
   for (int w = 1; w < num_threads; ++w) {
     groups.MergeFrom(*ctxs[w]->groups);
+    ctxs[w]->groups = nullptr;
+    ctxs[w]->owned_groups.reset();
   }
   phase.reset();
 

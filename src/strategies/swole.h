@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "strategies/common.h"
@@ -42,15 +43,17 @@ class SwoleStrategy : public Strategy {
   struct PlanAnalysis;
   struct CachedAnalysis;
 
-  /// Runs the cost-model analysis for `plan`, memoized per plan object
+  /// Runs the cost-model analysis for `plan`, memoized per plan structure
   /// (the paper's timings cover query processing, not planning — repeated
-  /// executions of the same plan reuse the decisions). Thread-safe: the
-  /// cache is mutex-guarded and entries are stable once published. Under
-  /// SWOLE_COST_REFIT=apply the analysis is made on the refitted profile
-  /// and keyed on the feedback epoch: when the fitted scales move
-  /// materially, the plan re-analyzes (the superseded entry is retired,
-  /// not destroyed, so references held by in-flight executions stay
-  /// valid); with refit off, memoization behaves exactly as before.
+  /// executions of the same plan reuse the decisions). Entries are keyed
+  /// by QueryPlan::ToString and analyze their own clone of the plan, so a
+  /// different plan at a reused address never hits a stale entry.
+  /// Thread-safe: the cache is mutex-guarded and entries are stable once
+  /// published. Under SWOLE_COST_REFIT=apply the analysis is made on the
+  /// refitted profile and keyed on the feedback epoch: when the fitted
+  /// scales move materially, the plan re-analyzes (the superseded entry is
+  /// retired, not destroyed, so references held by in-flight executions
+  /// stay valid); with refit off, memoization behaves exactly as before.
   const CachedAnalysis& Analyze(const QueryPlan& plan);
 
   /// Mid-query re-decision (ExecuteGeneral / ExecuteGroupjoin): re-runs
@@ -79,8 +82,7 @@ class SwoleStrategy : public Strategy {
   // Guards analysis_cache_ and writes to decisions_ (Analyze runs from
   // concurrent driver threads when an instance is shared).
   mutable std::mutex analysis_mu_;
-  std::map<const QueryPlan*, std::unique_ptr<CachedAnalysis>>
-      analysis_cache_;
+  std::map<std::string, std::unique_ptr<CachedAnalysis>> analysis_cache_;
   // Entries superseded by a refit-epoch change. Kept alive (not destroyed)
   // because concurrent Executes may still hold references; growth is
   // bounded by material model shifts, not by query count.

@@ -1,11 +1,14 @@
 // Unit tests for the shared linear-probing hash table: insert/find/erase,
 // growth, tombstone reuse, the reserved throwaway (mask) key, payload
-// widths, and a randomized differential test against std::unordered_map.
+// widths, a randomized differential test against std::unordered_map, and
+// the concurrent shared insert of the two-phase build.
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "common/random.h"
 #include "exec/hash_table.h"
@@ -147,6 +150,116 @@ TEST(HashTableTest, ByteSizeGrowsWithCapacity) {
   HashTable big(/*payload_width=*/1, 100000);
   EXPECT_GT(big.ByteSize(), small.ByteSize());
   EXPECT_GE(big.capacity(), 100000 * 10 / 7);
+}
+
+// A memory hook over a fake budget: accepts releases, and refuses every
+// charge once `refuse` is set.
+struct FakeBudget {
+  bool refuse = false;
+  int64_t charged = 0;
+};
+
+int FakeBudgetHook(void* ctx, int64_t delta, const char* /*site*/) {
+  auto* budget = static_cast<FakeBudget*>(ctx);
+  if (delta > 0 && budget->refuse) {
+    return static_cast<int>(AbortReason::kBudget);
+  }
+  budget->charged += delta;
+  return 0;
+}
+
+TEST(HashTableTest, ClearShrinksWithoutAskingTheBudget) {
+  FakeBudget budget;
+  {
+    HashTable table(/*payload_width=*/2);
+    table.SetMemHook(FakeBudgetHook, &budget, "test");
+    const int64_t fresh_bytes = table.ByteSize();
+    for (int64_t k = 0; k < 5000; ++k) table.GetOrInsert(k);
+    ASSERT_GT(budget.charged, fresh_bytes);
+    budget.refuse = true;  // other charges hold the whole budget
+    table.Clear();
+    EXPECT_EQ(table.size(), 0);
+    EXPECT_EQ(table.ByteSize(), fresh_bytes);
+    EXPECT_EQ(budget.charged, fresh_bytes);
+    EXPECT_FALSE(table.Contains(42));
+    table.GetOrInsert(7);  // a fresh table's room: no growth, no charge
+    EXPECT_TRUE(table.Contains(7));
+  }
+  EXPECT_EQ(budget.charged, 0);
+}
+
+// Thread t inserts keys [t * kStride, t * kStride + kSpan) mod kDistinct,
+// so every key is inserted by kSpan / kStride threads.
+constexpr int kThreads = 8;
+constexpr int64_t kDistinct = 40'000;
+constexpr int64_t kStride = kDistinct / kThreads;
+constexpr int64_t kSpan = kDistinct / 2;
+
+int64_t SharedKey(int t, int64_t i) {
+  return ((t * kStride + i) % kDistinct) * 7 - 3;
+}
+
+TEST(HashTableTest, SharedInsertClaimsEachKeyOnce) {
+  HashTable table(/*payload_width=*/1, kDistinct);
+  const int64_t capacity = table.capacity();
+  std::vector<int64_t> claimed(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&table, &claimed, t] {
+      for (int64_t i = 0; i < kSpan; ++i) {
+        int64_t* payload = table.InsertShared(SharedKey(t, i));
+        if (payload == nullptr) continue;
+        ++claimed[t];
+        *payload += 1;  // only the claiming thread may write the payload
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  int64_t claimed_total = 0;
+  for (int64_t c : claimed) claimed_total += c;
+  table.AddClaimed(claimed_total);
+
+  EXPECT_EQ(claimed_total, kDistinct);
+  EXPECT_EQ(table.size(), kDistinct);
+  EXPECT_EQ(table.capacity(), capacity);
+  for (int64_t i = 0; i < kDistinct; ++i) {
+    const int64_t* payload = table.Find(SharedKey(0, i));
+    ASSERT_NE(payload, nullptr) << i;
+    EXPECT_EQ(*payload, 1) << "key " << SharedKey(0, i);
+  }
+  EXPECT_FALSE(table.Contains(kDistinct * 7));
+}
+
+TEST(HashTableTest, SharedInsertBatchStoresClaimedPayloads) {
+  HashTable table(/*payload_width=*/1, kDistinct);
+  const int64_t capacity = table.capacity();
+  std::vector<int64_t> claimed(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&table, &claimed, t] {
+      std::vector<int64_t> keys(kSpan);
+      std::vector<int64_t> payload(kSpan);
+      for (int64_t i = 0; i < kSpan; ++i) {
+        keys[i] = SharedKey(t, i);
+        payload[i] = keys[i] * 2;
+      }
+      claimed[t] = table.InsertSharedBatch(keys.data(), payload.data(),
+                                           kSpan, /*prefetch=*/t % 2 == 0);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  int64_t claimed_total = 0;
+  for (int64_t c : claimed) claimed_total += c;
+  table.AddClaimed(claimed_total);
+
+  EXPECT_EQ(table.size(), kDistinct);
+  EXPECT_EQ(table.capacity(), capacity);
+  for (int64_t i = 0; i < kDistinct; ++i) {
+    const int64_t key = SharedKey(0, i);
+    const int64_t* payload = table.Find(key);
+    ASSERT_NE(payload, nullptr) << i;
+    EXPECT_EQ(*payload, key * 2);
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -17,12 +18,14 @@
 
 #include "codegen/jit.h"
 #include "codegen/kernel_cache.h"
+#include "common/bit_util.h"
 #include "common/fault_injection.h"
 #include "common/status.h"
 #include "engine/reference_engine.h"
 #include "exec/query_context.h"
 #include "exec/scheduler.h"
 #include "micro/micro.h"
+#include "strategies/common.h"
 #include "strategies/strategy.h"
 #include "strategies/swole.h"
 #include "tpch/dbgen.h"
@@ -408,14 +411,17 @@ TEST_F(LifecycleTest, AllocationFaultSweepNeverCrashes) {
 }
 
 TEST_F(LifecycleTest, AllocationFaultSweepCoversReverseAndDisjunctive) {
-  // TPC-H Q4 carries a reverse (EXISTS) dim, Q19 a disjunctive join —
-  // the sites the micro plans cannot reach.
+  // TPC-H Q4 carries a reverse (EXISTS) dim, Q19 a disjunctive join, Q3 a
+  // snowflake groupjoin and Q13 a seeded groupjoin — the sites and build
+  // shapes the micro plans cannot reach.
   const QueryPlan q4 = tpch::Q4(tpch_->catalog);
   const QueryPlan q19 = tpch::Q19(tpch_->catalog);
+  const QueryPlan q3 = tpch::Q3(tpch_->catalog);
+  const QueryPlan q13 = tpch::Q13(tpch_->catalog);
   for (const char* site :
        {"reverse_keyset", "reverse_bitmap", "disjunctive_ht",
-        "disjunctive_bitmap", "group_table"}) {
-    for (const QueryPlan* plan : {&q4, &q19}) {
+        "disjunctive_bitmap", "dim_keyset", "dim_bitmap", "group_table"}) {
+    for (const QueryPlan* plan : {&q4, &q19, &q3, &q13}) {
       for (int threads : {1, 2, 8}) {
         for (StrategyKind kind : kAllStrategies) {
           FaultInjector::Global().ClearAll();
@@ -436,6 +442,67 @@ TEST_F(LifecycleTest, AllocationFaultSweepCoversReverseAndDisjunctive) {
     }
   }
   FaultInjector::Global().ClearAll();
+}
+
+// ---- Build sizing ----
+
+// Bytes of a HashTable sized for `keys` entries with `width` payload words
+// (load factor below 0.7, power-of-two slots).
+int64_t TableBytes(int64_t keys, int64_t width) {
+  const int64_t slots = static_cast<int64_t>(bit_util::NextPowerOfTwo(
+      static_cast<uint64_t>(std::max<int64_t>(16, keys * 10 / 7 + 1))));
+  return slots * 8 * (1 + width);
+}
+
+TEST_F(LifecycleTest, BuildTablesAreSizedByQualifyingKeys) {
+  // Q4's EXISTS set keeps the orders that have a late lineitem, and SWOLE
+  // Q3's groupjoin table the qualifying orders; both builds scan many more
+  // rows than they keep. Their charged peaks must follow the kept keys
+  // (counted here through the positional builders): for Q4 runs plus one
+  // table, for Q3 one table per worker (join-mode probes clone the key
+  // set), each with room for a few times the kept keys.
+  const Catalog& catalog = tpch_->catalog;
+  const QueryPlan q4 = tpch::Q4(catalog);
+  const QueryPlan q3 = tpch::Q3(catalog);
+  const int64_t q4_keys =
+      pipeline::BuildReverseBitmap(catalog, q4.reverse_dims[0],
+                                   catalog.TableRef("orders").num_rows(),
+                                   /*tile_size=*/1024)
+          .CountSetBits();
+  const int64_t q3_keys =
+      pipeline::BuildDimBitmap(catalog, q3.dims[0], /*tile_size=*/1024)
+          .CountSetBits();
+  ASSERT_GT(q4_keys, 0);
+  ASSERT_GT(q3_keys, 0);
+  const int64_t q3_width = 1 + static_cast<int64_t>(q3.aggs.size());
+
+  for (int threads : {1, 2, 8}) {
+    for (StrategyKind kind : {StrategyKind::kDataCentric,
+                              StrategyKind::kHybrid, StrategyKind::kRof}) {
+      QueryContext ctx;
+      StrategyOptions options;
+      options.query_ctx = &ctx;
+      options.num_threads = threads;
+      std::unique_ptr<Strategy> engine = MakeStrategy(kind, catalog, options);
+      ASSERT_TRUE(engine->Execute(q4).ok()) << engine->name();
+      EXPECT_GT(ctx.site_peak_bytes("reverse_keyset"), 0);
+      EXPECT_LE(ctx.site_peak_bytes("reverse_keyset"),
+                TableBytes(4 * q4_keys, 0))
+          << engine->name() << " threads=" << threads << " keys=" << q4_keys
+          << ": " << ctx.MemoryReport();
+    }
+    QueryContext ctx;
+    StrategyOptions options;
+    options.query_ctx = &ctx;
+    options.num_threads = threads;
+    std::unique_ptr<Strategy> swole =
+        MakeStrategy(StrategyKind::kSwole, catalog, options);
+    ASSERT_TRUE(swole->Execute(q3).ok());
+    EXPECT_LE(ctx.site_peak_bytes("group_table"),
+              (threads + 1) * TableBytes(2 * q3_keys, q3_width))
+        << "threads=" << threads << " keys=" << q3_keys << ": "
+        << ctx.MemoryReport();
+  }
 }
 
 // ---- Ungoverned bit-identity across thread counts ----

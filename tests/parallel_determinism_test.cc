@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -104,11 +105,18 @@ TEST_F(ParallelDeterminismTest, MicroSelectivityBoundaries) {
 }
 
 TEST_F(ParallelDeterminismTest, TpchAllQueriesAllStrategies) {
-  for (const QueryPlan& plan : tpch::AllQueries(tpch_->catalog)) {
-    for (StrategyKind kind : kAllStrategies) {
-      CheckThreadCountInvariance(tpch_->catalog, plan, kind);
+  // Default morsels leave this scale's dim scans in one morsel; one-tile
+  // morsels split them, and the shared inserts that fill their tables,
+  // across workers, so the concurrent build paths run too.
+  for (const char* morsel_tiles : {"64", "1"}) {
+    setenv("SWOLE_MORSEL_TILES", morsel_tiles, /*overwrite=*/1);
+    for (const QueryPlan& plan : tpch::AllQueries(tpch_->catalog)) {
+      for (StrategyKind kind : kAllStrategies) {
+        CheckThreadCountInvariance(tpch_->catalog, plan, kind);
+      }
     }
   }
+  unsetenv("SWOLE_MORSEL_TILES");
 }
 
 TEST_F(ParallelDeterminismTest, SwoleForcedAggregationTechniques) {

@@ -229,5 +229,33 @@ TEST_F(SwoleDecisionsTest, DecisionsAreStableAcrossRepeatedExecutions) {
   EXPECT_EQ(engine->last_decisions().rationale, first.rationale);
 }
 
+TEST_F(SwoleDecisionsTest, ReusedPlanAddressNeverServesAStaleAnalysis) {
+  // Two structurally different plans with the same name, built one after
+  // the other in the same storage: the second must be analyzed afresh.
+  // Forced value masking makes access merging fold each plan's own
+  // `r_x < sel` literal into the analysis, so a stale entry would
+  // aggregate under the first plan's predicate.
+  StrategyOptions vm;
+  vm.force_agg = StrategyOptions::ForceAgg::kValueMasking;
+  std::unique_ptr<SwoleStrategy> engine =
+      MakeSwoleStrategy(micro_->catalog, vm);
+  ReferenceEngine oracle(micro_->catalog);
+  std::optional<QueryPlan> plan;
+  const QueryPlan* address = nullptr;
+  for (int64_t sel : {50, 20}) {
+    plan.reset();
+    plan.emplace(MicroQ3(/*reuse_both=*/false, sel));
+    plan->name = "reused_address";
+    if (address != nullptr) ASSERT_EQ(&*plan, address);
+    address = &*plan;
+    Result<QueryResult> expected = oracle.Execute(*plan);
+    ASSERT_TRUE(expected.ok());
+    Result<QueryResult> actual = engine->Execute(*plan);
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    EXPECT_TRUE(engine->last_decisions().used_access_merging);
+    EXPECT_EQ(*actual, *expected) << "sel=" << sel;
+  }
+}
+
 }  // namespace
 }  // namespace swole
