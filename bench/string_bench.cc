@@ -37,40 +37,50 @@ using simd::Backend;
 
 constexpr int64_t kRows = 1 << 16;  // rows per registered column
 
-// One StringColumn per average length. Background bytes are drawn from
+// Two StringColumns per average length. Background bytes are drawn from
 // a..y and the needle "zebra" is spliced into ~10% of rows, so substring
-// rows do real verify work without degenerating to all-hit or all-miss.
+// rows do real verify work without degenerating to all-hit or all-miss;
+// the dense column splices it into every row long enough to hold it.
 struct StringBenchData {
   std::vector<int64_t> lens = {16, 64, 256};
   std::vector<StringColumn> columns;
+  std::vector<StringColumn> dense_columns;
 
   StringBenchData() {
     std::mt19937_64 rng(4242);
-    std::uniform_int_distribution<int> letter(0, 24);
     for (int64_t avg : lens) {
-      StringColumn col;
-      std::string buf;
-      std::uniform_int_distribution<int64_t> length(avg / 2, avg + avg / 2);
-      std::uniform_int_distribution<int> pct(0, 99);
-      for (int64_t i = 0; i < kRows; ++i) {
-        int64_t n = length(rng);
-        buf.resize(n);
-        for (int64_t j = 0; j < n; ++j) {
-          buf[j] = static_cast<char>('a' + letter(rng));
-        }
-        if (n >= 5 && pct(rng) < 10) {
-          std::uniform_int_distribution<int64_t> pos(0, n - 5);
-          buf.replace(pos(rng), 5, "zebra");
-        }
-        col.Append(buf);
-      }
-      columns.push_back(std::move(col));
+      columns.push_back(MakeColumn(avg, /*needle_pct=*/10, &rng));
+    }
+    for (int64_t avg : lens) {
+      dense_columns.push_back(MakeColumn(avg, /*needle_pct=*/100, &rng));
     }
   }
 
-  const StringColumn& ForLen(int64_t avg) const {
+  static StringColumn MakeColumn(int64_t avg, int needle_pct,
+                                 std::mt19937_64* rng) {
+    std::uniform_int_distribution<int> letter(0, 24);
+    StringColumn col;
+    std::string buf;
+    std::uniform_int_distribution<int64_t> length(avg / 2, avg + avg / 2);
+    std::uniform_int_distribution<int> pct(0, 99);
+    for (int64_t i = 0; i < kRows; ++i) {
+      int64_t n = length(*rng);
+      buf.resize(n);
+      for (int64_t j = 0; j < n; ++j) {
+        buf[j] = static_cast<char>('a' + letter(*rng));
+      }
+      if (n >= 5 && pct(*rng) < needle_pct) {
+        std::uniform_int_distribution<int64_t> pos(0, n - 5);
+        buf.replace(pos(*rng), 5, "zebra");
+      }
+      col.Append(buf);
+    }
+    return col;
+  }
+
+  const StringColumn& ForLen(int64_t avg, bool dense = false) const {
     for (size_t i = 0; i < lens.size(); ++i) {
-      if (lens[i] == avg) return columns[i];
+      if (lens[i] == avg) return dense ? dense_columns[i] : columns[i];
     }
     SWOLE_CHECK(false) << "unknown length " << avg;
     return columns[0];
@@ -107,6 +117,10 @@ void RegisterKernelRows() {
   static std::vector<uint64_t> hashes(kRows);
   static const simd::CompiledLike contains =
       simd::CompileLike("%zebra%", false);
+  // Q13's shape ("%special%requests%"): two unanchored tokens, the first
+  // one as rare as the needle.
+  static const simd::CompiledLike tokens =
+      simd::CompileLike("%zeb%ra%", false);
   static const simd::CompiledLike general =
       simd::CompileLike("%ze_ra%", false);
 
@@ -141,6 +155,18 @@ void RegisterKernelRows() {
                                                contains, out.data());
                           return out[kRows - 1];
                         });
+      RegisterStringRow("like_tokens", b, avg, volume, [bytes, offsets]() {
+        kernels::StrLikeTile(bytes, offsets, 0, kRows, tokens, out.data());
+        return out[kRows - 1];
+      });
+      const StringColumn& dense = data->ForLen(avg, /*dense=*/true);
+      RegisterStringRow(
+          "like_contains_dense", b, avg, dense.total_bytes() + kRows,
+          [bytes = dense.bytes(), offsets = dense.offsets()]() {
+            kernels::StrLikeTile(bytes, offsets, 0, kRows, contains,
+                                 out.data());
+            return out[kRows - 1];
+          });
       RegisterStringRow("like_general", b, avg, volume, [bytes, offsets]() {
         kernels::StrLikeTile(bytes, offsets, 0, kRows, general, out.data());
         return out[kRows - 1];

@@ -372,6 +372,22 @@ class HashTable {
     });
   }
 
+  /// Adds the payload words of `other`'s slots [begin, end) into the same
+  /// slots of this table: one sequential pass, no probing. Only for two
+  /// tables whose key slots are identical — a CloneKeys copy and its
+  /// source, after nothing but Find ran on either — where slot i holds the
+  /// same key in both and an empty slot's payload is zero in both. Calls
+  /// over disjoint slot ranges may run concurrently.
+  void AddPayloadSlots(const HashTable& other, int64_t begin, int64_t end) {
+    SWOLE_DCHECK(other.capacity_ == capacity_ &&
+                 other.payload_width_ == payload_width_);
+    const int64_t from = begin * payload_width_;
+    const int64_t to = end * payload_width_;
+    int64_t* SWOLE_RESTRICT dst = payload_.data();
+    const int64_t* SWOLE_RESTRICT src = other.payload_.data();
+    for (int64_t i = from; i < to; ++i) dst[i] += src[i];
+  }
+
   /// Visits every live entry: fn(key, payload pointer).
   template <typename Fn>
   void ForEach(Fn&& fn) const {

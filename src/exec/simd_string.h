@@ -32,7 +32,10 @@
 // token shapes (equality, prefix, suffix, contains, ordered token
 // sequence — Q13's "%special%requests%" is a two-token sequence) that the
 // wide primitives accelerate; patterns with '_' fall back to a
-// self-contained two-pointer matcher. The fallback duplicates
+// self-contained two-pointer matcher. A tile of a contains or unanchored
+// token pattern is one sequential scan of its rows' arena span for the
+// first token, and only rows with a hit are finished exactly
+// (StrLikeScanT). The fallback duplicates
 // common/string_util.h's LikeMatch on purpose: JIT-generated translation
 // units include this header (via exec/kernels.h) and link nothing but
 // logging, so the matcher must live here; the differential tests pin the
@@ -305,22 +308,15 @@ inline const uint8_t* TokenData(const std::string& t) {
   return reinterpret_cast<const uint8_t*>(t.data());
 }
 
-/// '%'-only token-sequence match: anchored prefix, then middle tokens
-/// greedily at their leftmost occurrence, then a non-overlapping anchored
-/// suffix. Greedy-leftmost minimizes the consumed position, so if it can't
-/// leave room for the suffix no assignment can.
+/// The rest of a token-sequence match once tokens [0, ti) are placed and
+/// end at `pos`: the middle tokens from `ti` greedily at their leftmost
+/// occurrence, then a non-overlapping anchored suffix. Greedy-leftmost
+/// minimizes the consumed position, so if it can't leave room for the
+/// suffix no assignment can.
 template <typename Ops>
-bool MatchTokens(const uint8_t* s, int64_t n, const CompiledLike& lk) {
-  int64_t pos = 0;
-  size_t ti = 0;
+bool MatchTokensFrom(const uint8_t* s, int64_t n, const CompiledLike& lk,
+                     size_t ti, int64_t pos) {
   size_t tend = lk.tokens.size();
-  if (lk.anchored_prefix) {
-    const std::string& t = lk.tokens.front();
-    const int64_t tn = static_cast<int64_t>(t.size());
-    if (n < tn || !Ops::EqRange(s, TokenData(t), tn)) return false;
-    pos = tn;
-    ti = 1;
-  }
   if (lk.anchored_suffix) --tend;
   for (; ti < tend; ++ti) {
     const std::string& t = lk.tokens[ti];
@@ -336,6 +332,16 @@ bool MatchTokens(const uint8_t* s, int64_t n, const CompiledLike& lk) {
     return Ops::EqRange(s + (n - tn), TokenData(t), tn);
   }
   return true;
+}
+
+/// '%'-only token-sequence match: the anchored prefix, then the rest.
+template <typename Ops>
+bool MatchTokens(const uint8_t* s, int64_t n, const CompiledLike& lk) {
+  if (!lk.anchored_prefix) return MatchTokensFrom<Ops>(s, n, lk, 0, 0);
+  const std::string& t = lk.tokens.front();
+  const int64_t tn = static_cast<int64_t>(t.size());
+  if (n < tn || !Ops::EqRange(s, TokenData(t), tn)) return false;
+  return MatchTokensFrom<Ops>(s, n, lk, 1, tn);
 }
 
 /// Raw (un-negated) compiled-pattern match for one value.
@@ -458,9 +464,57 @@ void StrContainsTileT(const uint8_t* bytes, const uint32_t* offsets,
   }
 }
 
+/// True for the shapes every match of which holds tokens[0] at its leftmost
+/// occurrence in the row: kContains, and kTokens without an anchored
+/// prefix (whose first token is placed greedily-leftmost).
+inline bool FirstTokenDecides(const CompiledLike& lk) {
+  return lk.kind == CompiledLike::Kind::kContains ||
+         (lk.kind == CompiledLike::Kind::kTokens && !lk.anchored_prefix);
+}
+
+/// A FirstTokenDecides pattern over rows [0, len) of `offsets`: one
+/// sequential Find of tokens[0] over the rows' contiguous arena span. Rows
+/// the scan passes without a hit are decided by that alone (no match). The
+/// hit's row is finished exactly: a hit that runs into the next row is the
+/// leftmost occurrence from the row's start, so the row holds none; a hit
+/// inside it is where the per-row match places tokens[0], so a kContains
+/// row matches and a kTokens row matches the remaining tokens after it.
+/// The scan then resumes at the next row's start.
+template <typename Ops>
+void StrLikeScanT(const uint8_t* bytes, const uint32_t* offsets, int64_t len,
+                  const CompiledLike& lk, uint8_t* out) {
+  const std::string& t = lk.tokens.front();
+  const uint8_t* needle = TokenData(t);
+  const int64_t tn = static_cast<int64_t>(t.size());
+  const uint8_t miss = static_cast<uint8_t>(lk.negated);
+  const int64_t end = offsets[len];
+  int64_t j = 0;
+  while (j < len) {
+    const int64_t pos = offsets[j];
+    if (end - pos < tn) break;
+    const int64_t found = Ops::Find(bytes + pos, end - pos, needle, tn);
+    if (found < 0) break;
+    const int64_t at = pos + found;
+    while (offsets[j + 1] <= at) out[j++] = miss;
+    const int64_t off = offsets[j];
+    const int64_t n = offsets[j + 1] - off;
+    const int64_t hit_end = at - off + tn;  // row-relative
+    bool match = hit_end <= n;
+    if (match && lk.kind == CompiledLike::Kind::kTokens) {
+      match = MatchTokensFrom<Ops>(bytes + off, n, lk, 1, hit_end);
+    }
+    out[j++] = static_cast<uint8_t>(match != lk.negated);
+  }
+  std::memset(out + j, miss, static_cast<size_t>(len - j));
+}
+
 template <typename Ops>
 void StrLikeTileT(const uint8_t* bytes, const uint32_t* offsets, int64_t start,
                   int64_t len, const CompiledLike& lk, uint8_t* out) {
+  if (FirstTokenDecides(lk)) {
+    StrLikeScanT<Ops>(bytes, offsets + start, len, lk, out);
+    return;
+  }
   for (int64_t j = 0; j < len; ++j) {
     const uint32_t off = offsets[start + j];
     const int64_t n = offsets[start + j + 1] - off;
@@ -557,7 +611,9 @@ inline void StrContains(const uint8_t* bytes, const uint32_t* offsets,
                      out);
 }
 
-/// out[j] = row start+j matches `lk` (negation folded in).
+/// out[j] = row start+j matches `lk` (negation folded in). Contains and
+/// unanchored token patterns scan the tile's arena span once
+/// (StrLikeScanT); the other shapes match row by row.
 inline void StrLikeTile(const uint8_t* bytes, const uint32_t* offsets,
                         int64_t start, int64_t len, const CompiledLike& lk,
                         uint8_t* out) {

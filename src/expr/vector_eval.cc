@@ -189,7 +189,9 @@ void VectorEvaluator::EvalBool(const Expr& expr, int64_t start, int64_t len,
         const Column& col = table_.ColumnRef(expr.children[0]->column);
         if (col.type().logical == LogicalType::kText) {
           // Raw text: the dispatched string-kernel prepass over the arena
-          // (the Q13 bottleneck). Patterns compile once per expression.
+          // (Q13's NOT LIKE over o_comment; contains and unanchored token
+          // patterns scan the tile's arena span once). Patterns compile
+          // once per expression.
           const StringColumn& text = *col.text();
           kernels::StrLikeTile(text.bytes(), text.offsets(), start, len,
                                CompiledLikeFor(expr), cmp);

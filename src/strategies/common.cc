@@ -1194,6 +1194,22 @@ void GroupTable::MergeFrom(const GroupTable& other) {
   });
 }
 
+exec::MorselStats GroupTable::MergeJoinSlots(
+    const std::vector<const GroupTable*>& workers, int num_threads,
+    int64_t tile_size) {
+  if (workers.empty()) return exec::MorselStats{};
+  // Each range is a destination stretch every worker table adds into in
+  // turn; ranges are disjoint, so participants never share a slot.
+  return exec::ParallelMorsels(
+      ctx_, num_threads, table_.capacity(),
+      exec::DefaultMorselSize(tile_size),
+      [&](int /*worker*/, int64_t begin, int64_t end) {
+        for (const GroupTable* other : workers) {
+          table_.AddPayloadSlots(other->table_, begin, end);
+        }
+      });
+}
+
 void GroupTable::UpdateJoinMasked(const int64_t* keys,
                                   const std::vector<int64_t*>& values,
                                   const uint8_t* extra_mask, int64_t len) {
@@ -1232,21 +1248,57 @@ std::unique_ptr<GroupTable> GroupTable::CloneKeysOnly() const {
   return clone;
 }
 
-QueryResult GroupTable::Extract(const QueryPlan& plan,
-                                bool keep_untouched) const {
+namespace {
+
+// Q13's histogram post-step: the number of groups per value of agg 0, in
+// ascending value order. Built straight from the unsorted groups — the
+// counts do not depend on group order, so the key sort is skipped.
+class Agg0Histogram {
+ public:
+  void Add(const int64_t* aggs) { ++counts_[aggs[0]]; }
+
+  QueryResult Finish() const {
+    QueryResult result;
+    result.grouped = true;
+    result.num_aggs = 1;
+    result.agg_names = {"group_count"};
+    for (const auto& [value, count] : counts_) result.AddGroup(value, &count);
+    return result;
+  }
+
+ private:
+  std::map<int64_t, int64_t> counts_;
+};
+
+QueryResult EmptyGroupedResult(const QueryPlan& plan) {
   QueryResult result;
   result.grouped = true;
-  result.num_aggs = num_aggs_;
+  result.num_aggs = static_cast<int>(plan.aggs.size());
   for (const AggSpec& agg : plan.aggs) result.agg_names.push_back(agg.name);
+  return result;
+}
+
+}  // namespace
+
+QueryResult GroupTable::Extract(const QueryPlan& plan,
+                                bool keep_untouched) const {
+  auto live = [&](int64_t key, const int64_t* payload) {
+    return key != HashTable::kMaskKey && (keep_untouched || payload[0] != 0);
+  };
+  if (plan.histogram_of_agg0) {
+    Agg0Histogram histogram;
+    table_.ForEach([&](int64_t key, const int64_t* payload) {
+      if (live(key, payload)) histogram.Add(payload + 1);
+    });
+    return histogram.Finish();
+  }
+  QueryResult result = EmptyGroupedResult(plan);
   result.group_keys.reserve(table_.size());
   result.group_aggs.reserve(table_.size() * num_aggs_);
   table_.ForEach([&](int64_t key, const int64_t* payload) {
-    if (key == HashTable::kMaskKey) return;
-    if (!keep_untouched && payload[0] == 0) return;
-    result.AddGroup(key, payload + 1);
+    if (live(key, payload)) result.AddGroup(key, payload + 1);
   });
   result.SortGroups();
-  if (plan.histogram_of_agg0) return HistogramOfAgg0(result);
   return result;
 }
 
@@ -1285,10 +1337,8 @@ Result<QueryResult> GroupTable::ExtractSpilled(const QueryPlan& plan,
       });
   SWOLE_RETURN_NOT_OK(stats.status);
 
-  QueryResult result;
-  result.grouped = true;
-  result.num_aggs = num_aggs_;
-  for (const AggSpec& agg : plan.aggs) result.agg_names.push_back(agg.name);
+  QueryResult result = EmptyGroupedResult(plan);
+  Agg0Histogram histogram;
   int64_t merged_groups = 0;
   const size_t stride = 1 + static_cast<size_t>(width);
   for (int p = 0; p < partitions; ++p) {
@@ -1298,17 +1348,21 @@ Result<QueryResult> GroupTable::ExtractSpilled(const QueryPlan& plan,
       // Untouched entries are batch-probe artifacts with zero
       // contributions — dropped exactly as the in-memory Extract does.
       if (row[1] == 0) continue;
-      result.AddGroup(row[0], row + 2);
+      if (plan.histogram_of_agg0) {
+        histogram.Add(row + 2);
+      } else {
+        result.AddGroup(row[0], row + 2);
+      }
     }
     merged_groups += static_cast<int64_t>(rows.size() / stride);
   }
-  result.SortGroups();
   span.Attr("spill.bytes_written", spill_->bytes_written());
   span.Attr("spill.partitions", static_cast<int64_t>(partitions));
   span.Attr("spill.max_depth", spill_->max_depth_reached());
   span.Attr("spill.events", spill_->spill_events());
   span.Attr("spill.merged_groups", merged_groups);
-  if (plan.histogram_of_agg0) return HistogramOfAgg0(result);
+  if (plan.histogram_of_agg0) return histogram.Finish();
+  result.SortGroups();
   return result;
 }
 
@@ -1352,21 +1406,6 @@ QueryResult MakeScalarResult(const QueryPlan& plan, const int64_t* acc) {
   for (size_t a = 0; a < plan.aggs.size(); ++a) {
     result.agg_names.push_back(plan.aggs[a].name);
     result.scalar.push_back(acc[a]);
-  }
-  return result;
-}
-
-QueryResult HistogramOfAgg0(const QueryResult& grouped) {
-  std::map<int64_t, int64_t> histogram;
-  for (int64_t i = 0; i < grouped.NumGroups(); ++i) {
-    histogram[grouped.GroupAgg(i, 0)]++;
-  }
-  QueryResult result;
-  result.grouped = true;
-  result.num_aggs = 1;
-  result.agg_names = {"group_count"};
-  for (const auto& [value, count] : histogram) {
-    result.AddGroup(value, &count);
   }
   return result;
 }

@@ -7,6 +7,7 @@
 #include "exec/hash_table.h"
 #include "exec/kernels.h"
 #include "exec/query_context.h"
+#include "exec/scheduler.h"
 #include "expr/vector_eval.h"
 #include "plan/plan.h"
 #include "plan/result.h"
@@ -336,15 +337,27 @@ class GroupTable {
   /// Deletes `key` (eager aggregation's non-qualifying key removal).
   void EraseKey(int64_t key) { table_.Erase(key); }
 
-  /// Merges a worker-local partial state: payloads added element-wise
-  /// ([touched, sums/counts] — all additive). Called in worker order (the
-  /// ordered merge); Extract sorts by key, so results are bit-exact with
-  /// single-thread runs regardless of steal order. Spill-aware: with a
+  /// The insert-mode merge of a worker-local partial state: payloads added
+  /// element-wise ([touched, sums/counts] — all additive). Called in worker
+  /// order (the ordered merge); Extract sorts by key, so results are
+  /// bit-exact with single-thread runs regardless of steal order. Join-mode
+  /// tables merge with MergeJoinSlots instead. Spill-aware: with a
   /// manager attached, a budget refusal mid-merge spills the destination
   /// and continues from the same source entry (additive payloads make the
   /// fragment split exact; a blind retry of the whole merge would
   /// double-count entries applied before the refusal).
   void MergeFrom(const GroupTable& other);
+
+  /// The join-mode merge: adds the payloads of `workers` into this table
+  /// slot by slot, over morsel-parallel ranges of DefaultMorselSize(tile)
+  /// slots on the query's governed scheduler. Each worker table must be a
+  /// CloneKeysOnly copy of this one on which, as on this one, only
+  /// join-mode updates ran, so slot i holds the same key in every table.
+  /// Payloads are integer sums, so the result equals the serial MergeFrom
+  /// in worker order bit for bit. Never inserts: no growth, no spill.
+  exec::MorselStats MergeJoinSlots(
+      const std::vector<const GroupTable*>& workers, int num_threads,
+      int64_t tile_size);
 
   /// A worker-local copy with the same key set and zeroed payloads.
   /// Join-mode probes (UpdateJoinMasked/UpdateJoinSel) only Find keys, so
@@ -355,8 +368,10 @@ class GroupTable {
   const HashTable& table() const { return table_; }
   int64_t ht_bytes() const { return table_.ByteSize(); }
 
-  /// Extracts the final result. Drops the throwaway entry; drops untouched
-  /// groups unless `keep_untouched` (Q13's left-outer zero counts).
+  /// Extracts the final result, sorted by key. Drops the throwaway entry;
+  /// drops untouched groups unless `keep_untouched` (Q13's left-outer zero
+  /// counts). A `histogram_of_agg0` plan gets the histogram of agg 0 over
+  /// the kept groups, built from them unsorted.
   QueryResult Extract(const QueryPlan& plan, bool keep_untouched) const;
 
   // ---- Spill-to-disk (DESIGN.md §14) ----
@@ -436,9 +451,6 @@ void MergeScalarAcc(const QueryPlan& plan, int64_t* into,
 
 /// Builds the final result for a scalar aggregation.
 QueryResult MakeScalarResult(const QueryPlan& plan, const int64_t* acc);
-
-/// Applies Q13's histogram post-step to a grouped result.
-QueryResult HistogramOfAgg0(const QueryResult& grouped);
 
 /// Expected group count: plan hint, or a sampled estimate.
 int64_t ExpectedGroups(const Catalog& catalog, const QueryPlan& plan);

@@ -531,8 +531,8 @@ Result<QueryResult> HashStrategyEngine::ExecuteGoverned(
   SWOLE_RETURN_NOT_OK(probe_stats.status);
 
   phase.emplace(trace, "merge");
-  // Flush leftover ROF carries, then merge worker states — both in worker
-  // order, the deterministic ordered merge (DESIGN.md §7).
+  // Flush leftover ROF carries in worker order, then merge worker states
+  // (DESIGN.md §7).
   for (int w = 0; w < num_threads; ++w) {
     ProbeCtx& ctx = *ctxs[w];
     if (rof && ctx.carry_n > 0) {
@@ -546,10 +546,13 @@ Result<QueryResult> HashStrategyEngine::ExecuteGoverned(
   dim_sets.clear();
   reverse_sets.clear();
   disjunctive_ht.reset();
+  std::vector<const GroupTable*> join_workers;
   for (int w = 1; w < num_threads; ++w) {
     pipeline::MergeScalarAcc(plan, ctxs[0]->scalar_acc.data(),
                              ctxs[w]->scalar_acc.data());
-    if (plan.HasGroupBy()) {
+    if (join_mode) {
+      join_workers.push_back(ctxs[w]->groups);
+    } else if (plan.HasGroupBy()) {
       groups->MergeFrom(*ctxs[w]->groups);
       // Release each worker table as soon as it is merged so the budget
       // headroom grows monotonically through the merge — under spill the
@@ -559,8 +562,18 @@ Result<QueryResult> HashStrategyEngine::ExecuteGoverned(
       ctxs[w]->owned_groups.reset();
     }
   }
-
+  // Join-mode worker tables are slot-for-slot copies of the primary: one
+  // slot-wise pass adds them all, split into morsels.
+  exec::MorselStats merge_stats;
+  if (join_mode) {
+    merge_stats = groups->MergeJoinSlots(join_workers, num_threads, tile);
+    for (int w = 1; w < num_threads; ++w) ctxs[w]->owned_groups.reset();
+  }
+  phase->Attr("morsels", merge_stats.morsels);
+  phase->Attr("steals", merge_stats.steals);
+  phase->Attr("workers", static_cast<int64_t>(merge_stats.workers));
   phase.reset();  // merge
+  SWOLE_RETURN_NOT_OK(merge_stats.status);
 
   // ---- Result extraction ----
   phase.emplace(trace, "extract");

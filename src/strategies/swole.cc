@@ -1404,17 +1404,21 @@ Result<QueryResult> SwoleStrategy::ExecuteGroupjoin(
   phase.reset();
   SWOLE_RETURN_NOT_OK(probe_stats.status);
 
-  // Ordered merge of worker-local join-mode states. The probe was the
-  // other-dim bitmaps' last reader, and each worker table is released as
-  // soon as it is merged, so extract runs with neither resident.
+  // Slot-wise merge of the worker-local join-mode states (DESIGN.md §7).
+  // The probe was the other-dim bitmaps' last reader, and the worker tables
+  // are released after the merge, so extract runs with neither resident.
   phase.emplace(trace, "merge");
   other_bitmaps.clear();
-  for (int w = 1; w < num_threads; ++w) {
-    groups.MergeFrom(*ctxs[w]->groups);
-    ctxs[w]->groups = nullptr;
-    ctxs[w]->owned_groups.reset();
-  }
+  std::vector<const GroupTable*> workers;
+  for (int w = 1; w < num_threads; ++w) workers.push_back(ctxs[w]->groups);
+  exec::MorselStats merge_stats =
+      groups.MergeJoinSlots(workers, num_threads, tile);
+  for (int w = 1; w < num_threads; ++w) ctxs[w]->owned_groups.reset();
+  phase->Attr("morsels", merge_stats.morsels);
+  phase->Attr("steals", merge_stats.steals);
+  phase->Attr("workers", static_cast<int64_t>(merge_stats.workers));
   phase.reset();
+  SWOLE_RETURN_NOT_OK(merge_stats.status);
 
   phase.emplace(trace, "extract");
   return groups.Extract(plan, plan.group_seed.has_value());

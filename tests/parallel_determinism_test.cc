@@ -8,12 +8,16 @@
 
 #include <cstdlib>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include "codegen/jit.h"
 #include "engine/reference_engine.h"
+#include "exec/hash_table.h"
+#include "exec/scheduler.h"
 #include "micro/micro.h"
 #include "storage/table.h"
+#include "strategies/common.h"
 #include "strategies/strategy.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
@@ -190,6 +194,110 @@ TEST_F(ParallelDeterminismTest, JitKernelsThreadCountInvariant) {
           << c.plan.name << " " << StrategyKindName(c.kind) << " threads="
           << threads << "\nsource:\n"
           << (*compiled)->kernel().source;
+    }
+  }
+}
+
+// The join-mode merge adds worker tables into the primary slot by slot, in
+// parallel slot ranges. The TPC-H groupjoin tables above fit in one range
+// at the test scale, so this builds a table that spans many ranges and
+// checks the parallel merge against the serial ordered merge.
+TEST(JoinModeMergeTest, SlotMergeMatchesSerialMerge) {
+  using pipeline::GroupTable;
+  QueryPlan plan;
+  plan.group_by = Col("k");
+  plan.aggs.emplace_back(AggKind::kSum, Col("v"), "sum_v");
+  plan.aggs.emplace_back(AggKind::kCount, nullptr, "cnt");
+  constexpr int64_t kTile = 64;
+  constexpr int64_t kKeys = 15'000;
+  constexpr int kWorkerTables = 4;  // the primary plus 3 clones
+  const int64_t morsel = exec::DefaultMorselSize(kTile);
+
+  // A build-side table holding kKeys keys, and its worker clones.
+  struct JoinState {
+    std::unique_ptr<GroupTable> primary;
+    std::vector<std::unique_ptr<GroupTable>> clones;
+    GroupTable* worker(int w) {
+      return w == 0 ? primary.get() : clones[w - 1].get();
+    }
+  };
+  auto make_state = [&] {
+    JoinState state;
+    state.primary = std::make_unique<GroupTable>(plan, kKeys);
+    for (int64_t i = 0; i < kKeys; ++i) {
+      state.primary->table().GetOrInsert(i * 7 + 3);
+    }
+    for (int w = 1; w < kWorkerTables; ++w) {
+      state.clones.push_back(state.primary->CloneKeysOnly());
+    }
+    return state;
+  };
+
+  for (int threads : {4, 8}) {
+    // Two identical states: `slotwise` merges in parallel, `serial`
+    // through MergeFrom in worker order.
+    JoinState slotwise = make_state();
+    JoinState serial = make_state();
+    ASSERT_GT(slotwise.primary->table().capacity(), 4 * morsel);
+
+    // Join-mode updates on every table: probe keys that hit and miss,
+    // selection-vector and masked forms, and key-masked lanes that land
+    // on the throwaway entry.
+    std::mt19937_64 rng(1234 + threads);
+    std::vector<int64_t> keys(kTile);
+    std::vector<int64_t> sums(kTile);
+    std::vector<int64_t> ones(kTile, 1);
+    std::vector<int64_t*> values = {sums.data(), ones.data()};
+    std::vector<uint8_t> mask(kTile);
+    for (int batch = 0; batch < 2000; ++batch) {
+      const int w = batch % kWorkerTables;
+      for (int64_t j = 0; j < kTile; ++j) {
+        const uint64_t r = rng();
+        keys[j] = static_cast<int64_t>(r % (kKeys * 8));  // 1 in 8 hits
+        if (r % 5 == 0) keys[j] = HashTable::kMaskKey;
+        sums[j] = static_cast<int64_t>(rng() % 1000) - 300;
+        mask[j] = static_cast<uint8_t>(rng() & 1);
+      }
+      for (JoinState* state : {&slotwise, &serial}) {
+        GroupTable* table = state->worker(w);
+        if (batch % 2 == 0) {
+          table->UpdateJoinMasked(keys.data(), values, mask.data(), kTile);
+        } else {
+          table->UpdateJoinSel(keys.data(), values,
+                               static_cast<int32_t>(kTile),
+                               /*prefetch=*/batch % 4 == 1);
+        }
+      }
+    }
+
+    std::vector<const GroupTable*> workers;
+    for (const auto& clone : slotwise.clones) workers.push_back(clone.get());
+    exec::MorselStats stats =
+        slotwise.primary->MergeJoinSlots(workers, threads, kTile);
+    ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
+    EXPECT_EQ(stats.morsels, slotwise.primary->table().capacity() / morsel);
+    for (const auto& clone : serial.clones) serial.primary->MergeFrom(*clone);
+
+    // Every slot's payload, the throwaway entry's included, and the
+    // extracted results agree.
+    const HashTable& expected_table = serial.primary->table();
+    const int width = expected_table.payload_width();
+    int64_t compared = 0;
+    expected_table.ForEach([&](int64_t key, const int64_t* expected) {
+      const int64_t* got = slotwise.primary->table().Find(key);
+      ASSERT_NE(got, nullptr) << key;
+      for (int c = 0; c < width; ++c) {
+        ASSERT_EQ(got[c], expected[c]) << "key " << key << " word " << c
+                                       << " threads " << threads;
+      }
+      ++compared;
+    });
+    EXPECT_EQ(compared, kKeys + 1);
+    EXPECT_GT(expected_table.Find(HashTable::kMaskKey)[0], 0);
+    for (bool keep_untouched : {false, true}) {
+      EXPECT_EQ(slotwise.primary->Extract(plan, keep_untouched),
+                serial.primary->Extract(plan, keep_untouched))
+          << "threads " << threads;
     }
   }
 }

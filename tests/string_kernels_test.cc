@@ -350,6 +350,84 @@ TEST(StringKernels, LikeTileShapesAndMaskedRefine) {
   }
 }
 
+// StrLikeTile scans a tile's whole arena span at once for contains and
+// unanchored token patterns, so a token split across two rows, or one
+// token in each of two rows, must never match. Every window of a column
+// built for that is checked row by row against LikeMatch.
+TEST(StringKernels, LikeTileTokensAcrossRowBoundaries) {
+  BackendGuard guard;
+  std::vector<std::string> values = {
+      "special requests",  // hit in the first row
+      "ask for spe",       // "special" split across the boundary ...
+      "cial requests",     // ... continues here
+      "",                  // empty rows between fragments
+      "sp",                // shorter than the token
+      "",
+      "eci",
+      "al",
+      "the special",       // first token here,
+      "requests later",    // second token only in the next row
+      "requests special",  // both tokens, wrong order
+      "specia",
+      "l requests",
+      "special",
+      "specialspecial requests",
+      "xx spec",
+      "ialrequests",
+      "quests",
+      "special requests",  // hit in the last row
+  };
+  std::mt19937_64 rng(77);
+  const char* pieces[] = {"spe", "cial", "special", "re", "quests",
+                          "requests", "", " "};
+  std::uniform_int_distribution<int> piece(0, 7);
+  for (int r = 0; r < 200; ++r) {
+    std::string v;
+    for (int k = static_cast<int>(rng() % 4); k > 0; --k) {
+      v += pieces[piece(rng)];
+    }
+    values.push_back(std::move(v));
+  }
+  values.push_back("special requests");
+  StringColumn col = MakeColumn(values, 3);
+  const int64_t rows = static_cast<int64_t>(values.size());
+
+  const char* patterns[] = {
+      "%special%",           // kContains
+      "%cial%",              // kContains, shorter token
+      "%special%requests%",  // kTokens, unanchored (Q13's shape)
+      "%special%requests",   // kTokens, end-anchored
+      "%spe%cial%quests%",   // kTokens, three tokens
+      "special%requests%",   // kTokens, anchored prefix (per-row path)
+  };
+  for (Backend b : SupportedBackends()) {
+    simd::SetBackend(b);
+    for (const char* pattern : patterns) {
+      for (bool negated : {false, true}) {
+        const CompiledLike lk = simd::CompileLike(pattern, negated);
+        for (int64_t start = 1; start <= 20; ++start) {
+          for (int64_t len : {int64_t{1}, int64_t{2}, int64_t{3},
+                              int64_t{7}, rows - start + 1}) {
+            if (start - 1 + len > rows) continue;
+            std::vector<uint8_t> out(static_cast<size_t>(len) + 1, 0xCD);
+            kernels::StrLikeTile(col.bytes(), col.offsets(), start, len, lk,
+                                 out.data());
+            for (int64_t j = 0; j < len; ++j) {
+              const std::string& v =
+                  values[static_cast<size_t>(start - 1 + j)];
+              ASSERT_EQ(out[j], LikeMatch(v, pattern) != negated ? 1 : 0)
+                  << "pattern \"" << pattern << "\" negated " << negated
+                  << " under " << simd::BackendName(b) << " start " << start
+                  << " len " << len << " row \"" << v << "\"";
+            }
+            ASSERT_EQ(out[len], 0xCD) << "wrote past the tile";
+          }
+        }
+      }
+    }
+  }
+}
+
 // Randomized CompiledLike-vs-LikeMatch differential: the compiled shapes
 // (and the '_' fallback) must agree with the two-pointer reference in
 // common/string_util.h on arbitrary pattern × value pairs.
