@@ -8,12 +8,10 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/timer.h"
 #include "cost/calibration.h"
 #include "cost/cost_model.h"
-#include "cost/feedback.h"
 #include "micro/micro.h"
 #include "strategies/strategy.h"
 
@@ -88,8 +86,6 @@ int main() {
   auto km = MakeStrategy(StrategyKind::kSwole, data->catalog, km_opt);
   std::printf("\nmicro Q2: predicted vs measured winners at sel=50%%\n");
   std::printf("%10s | pred winner | meas winner\n", "keys");
-  std::vector<AggWorkload> q2_workloads;
-  std::vector<std::string> q2_measured;
   for (size_t c = 0; c < data->c_columns.size(); ++c) {
     AggWorkload w;
     w.rows = static_cast<double>(config.r_rows);
@@ -115,59 +111,8 @@ int main() {
     std::printf("%10lld | %11s | %11s %s\n",
                 static_cast<long long>(data->c_actual[c]),
                 AggChoiceName(choice), measured, match ? "" : " <-");
-    q2_workloads.push_back(w);
-    q2_measured.push_back(measured);
   }
   std::printf("\nmodel/measurement agreement: %d / %d points\n", agree,
               total);
-
-  // ---- Online refit vs the offline profile (SWOLE_COST_REFIT=apply) ----
-  // A short warm-up stream feeds CostFeedback with predicted-vs-observed
-  // cost under the calibrated profile; the refitted profile's Q2 decisions
-  // are then checked against the same measured winners. The refit only has
-  // to match or beat the offline profile — it exists to absorb drift the
-  // one-shot calibration can't see.
-  std::printf("\nonline refit vs offline profile (micro Q2 decisions)\n");
-  cost::SetRefitModeForTest(cost::RefitMode::kApply);
-  cost::CostFeedback::Global().Reset();
-  {
-    StrategyOptions warm_opt;
-    warm_opt.cost_profile = &profile;
-    auto engine = MakeStrategy(StrategyKind::kSwole, data->catalog, warm_opt);
-    for (int64_t sel : {20, 50, 80}) {
-      QueryPlan p = MicroQ1(false, sel);
-      for (int rep = 0; rep < 3; ++rep) {
-        engine->Execute(p).status().CheckOK();
-      }
-    }
-    for (size_t c = 0; c < data->c_columns.size(); ++c) {
-      QueryPlan p = MicroQ2(data->c_columns[c], data->c_actual[c], 50);
-      engine->Execute(p).status().CheckOK();
-    }
-  }
-  std::printf("fit after warm-up: %s\n",
-              cost::CostFeedback::Global().ToString().c_str());
-  CostProfile refit = cost::CostFeedback::Global().Refitted(profile);
-
-  int offline_agree = 0;
-  int refit_agree = 0;
-  std::printf("%10s | %13s | %13s | %13s\n", "keys", "measured", "offline",
-              "refit");
-  for (size_t c = 0; c < q2_workloads.size(); ++c) {
-    const char* offline_choice =
-        AggChoiceName(ChooseAggregation(profile, q2_workloads[c]));
-    const char* refit_choice =
-        AggChoiceName(ChooseAggregation(refit, q2_workloads[c]));
-    offline_agree += q2_measured[c] == offline_choice;
-    refit_agree += q2_measured[c] == refit_choice;
-    std::printf("%10lld | %13s | %13s | %13s\n",
-                static_cast<long long>(data->c_actual[c]),
-                q2_measured[c].c_str(), offline_choice, refit_choice);
-  }
-  std::printf("refit agreement: %d / %zu points (offline: %d / %zu)\n",
-              refit_agree, q2_workloads.size(), offline_agree,
-              q2_workloads.size());
-  cost::CostFeedback::Global().Reset();
-  cost::SetRefitModeForTest(cost::RefitMode::kOff);
   return 0;
 }

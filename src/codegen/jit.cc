@@ -15,11 +15,7 @@
 #include "common/scratch_dir.h"
 #include "common/string_util.h"
 #include "common/subprocess.h"
-#include "common/timer.h"
-#include "cost/estimates.h"
-#include "cost/feedback.h"
 #include "engine/reference_engine.h"
-#include "exec/admission.h"
 #include "exec/kernels.h"
 #include "exec/query_context.h"
 #include "exec/scheduler.h"
@@ -601,72 +597,21 @@ Result<std::unique_ptr<CompiledKernel>> GenerateAndCompile(
   return CompileKernel(std::move(kernel), plan, jit_options);
 }
 
-Result<QueryResult> ExecuteWithFallback(const QueryPlan& plan,
-                                        const Catalog& catalog,
-                                        const GeneratorOptions& gen_options,
-                                        const JitOptions& jit_options,
-                                        ExecutionReport* report) {
-  ExecutionReport local_report;
-  if (report == nullptr) report = &local_report;
-  *report = ExecutionReport();
+namespace {
 
-  // Admission before compiling anything: a shed query must not occupy the
-  // compiler either. The interpreted fallbacks below re-enter engine
-  // Execute on this thread and ride this scope's slot (exec/admission.h).
-  exec::AdmissionScope admission(gen_options.tenant);
-  SWOLE_RETURN_NOT_OK(admission.status());
-
-  // One governance scope for the whole attempt chain (env-resolved:
-  // SWOLE_MEM_LIMIT / SWOLE_DEADLINE_MS), so a degradation retry runs
-  // under the same budget, deadline, and accumulated peak attribution as
-  // the kernel run that breached.
-  exec::GovernanceScope governance(nullptr, /*mem_limit_bytes=*/-1,
-                                   /*deadline_ms=*/-1, gen_options.trace);
-  exec::QueryContext* qctx = governance.ctx();
-  if (qctx != nullptr && gen_options.priority != 0) {
-    qctx->set_priority(gen_options.priority);
-  }
+// ExecuteWithFallback's attempt chain under the query's context: the
+// compiled kernel first, then the interpreted engine for the strategy,
+// then the reference oracle. The interpreted engines re-enter RunQuery on
+// this thread with `qctx` as their external context, so they ride this
+// query's admission slot, budget, deadline and accumulated peak
+// attribution.
+Result<QueryResult> CompileAndRunOrFallBack(const QueryPlan& plan,
+                                            const Catalog& catalog,
+                                            const GeneratorOptions& gen_options,
+                                            const JitOptions& jit_options,
+                                            ExecutionReport* report,
+                                            exec::QueryContext* qctx) {
   obs::QueryTrace* trace = qctx != nullptr ? qctx->trace() : nullptr;
-
-  // Estimate side of the cost-feedback observation (cost/feedback.h); the
-  // owning scope completes and forwards it on teardown. Interpreted
-  // fallbacks re-enter engine Execute with this same context and overwrite
-  // the carrier with their own estimates, so the record reflects whatever
-  // engine actually served the query.
-  if (qctx != nullptr && cost::RefitEnabled()) {
-    Result<const Table*> fact = catalog.GetTable(plan.fact_table);
-    if (fact.ok()) {
-      AggWorkload w;
-      w.rows = static_cast<double>((*fact)->num_rows());
-      w.selectivity = plan.fact_filter != nullptr
-                          ? EstimateSelectivity(**fact, *plan.fact_filter)
-                          : 1.0;
-      cost::QueryObservation* record = qctx->MutableObservation();
-      record->rows = w.rows;
-      record->selectivity = w.selectivity;
-      record->predicted_ns = HybridCost(CostProfile::Default(), w);
-      record->technique =
-          std::string("jit/") + StrategyKindName(gen_options.strategy);
-    }
-  }
-
-  static obs::Counter& queries =
-      obs::MetricsRegistry::Global().GetCounter("queries.jit");
-  static obs::Histogram& latency =
-      obs::MetricsRegistry::Global().GetHistogram("query.latency_us.jit");
-  queries.Add(1);
-  Timer timer;
-
-  // Stamped on every exit — success, fallback, or structured failure — so
-  // the histogram carries what the client observed for the whole attempt
-  // chain. Stamping only the happy path (as this function once did)
-  // understates exactly the tail that matters under concurrency.
-  struct LatencyStamp {
-    obs::Histogram& hist;
-    Timer& timer;
-    ~LatencyStamp() { hist.Record(timer.ElapsedNanos() / 1000); }
-  } latency_stamp{latency, timer};
-
   Status jit_failure;
   std::optional<obs::SpanScope> compile_span;
   compile_span.emplace(trace, "jit_compile");
@@ -777,6 +722,31 @@ Result<QueryResult> ExecuteWithFallback(const QueryPlan& plan,
   if (!oracle.ok()) return oracle.status();
   report->fallback_engine = "reference";
   return std::move(oracle).value();
+}
+
+}  // namespace
+
+Result<QueryResult> ExecuteWithFallback(const QueryPlan& plan,
+                                        const Catalog& catalog,
+                                        const GeneratorOptions& gen_options,
+                                        const JitOptions& jit_options,
+                                        ExecutionReport* report) {
+  ExecutionReport local_report;
+  if (report == nullptr) report = &local_report;
+  *report = ExecutionReport();
+
+  // Admission comes before compiling anything, so a shed query does not
+  // occupy the compiler either. The context is env-resolved
+  // (SWOLE_MEM_LIMIT / SWOLE_DEADLINE_MS): GeneratorOptions carries no
+  // limits of its own.
+  StrategyOptions entry;
+  entry.priority = gen_options.priority;
+  entry.tenant = gen_options.tenant;
+  entry.trace = gen_options.trace;
+  return RunQuery("jit", entry, [&](exec::QueryContext* qctx) {
+    return CompileAndRunOrFallBack(plan, catalog, gen_options, jit_options,
+                                   report, qctx);
+  });
 }
 
 }  // namespace swole::codegen

@@ -134,7 +134,6 @@ CostProfile CalibrateCostProfile(const CalibrationOptions& options) {
 
   p.read_seq = MeasureReadSeqNs(options);
   p.read_cond = MeasureReadCondNs(options);
-  p.ns_per_cycle = MeasureNsPerCycle();
   p.ht_null = MeasureHtNullNs(options);
 
   // One table size per cache level: entries are 16 bytes (key + payload),

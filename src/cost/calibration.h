@@ -5,9 +5,8 @@
 
 // Micro-probes that measure the machine's actual access costs and fill a
 // CostProfile: sequential read bandwidth, conditional-read penalty,
-// hash-table lookup cost per cache level, throwaway-entry access, and the
-// effective clock. Used by benchmarks; tests use CostProfile::Default() for
-// determinism.
+// hash-table lookup cost per cache level, and throwaway-entry access. Used
+// by benchmarks; tests use CostProfile::Default() for determinism.
 
 namespace swole {
 
@@ -38,6 +37,8 @@ double MeasureReadCondNs(const CalibrationOptions& options);
 /// Lookup ns/probe for a hash table of ~`keys` entries.
 double MeasureHtLookupNs(int64_t keys, const CalibrationOptions& options);
 double MeasureHtNullNs(const CalibrationOptions& options);
+/// The effective clock (ns per dependent ALU op). Not part of the profile:
+/// EstimateComputeNs converts cycles at a fixed clock.
 double MeasureNsPerCycle();
 
 }  // namespace swole

@@ -11,12 +11,15 @@ std::string CostProfile::ToString() const {
   return StringFormat(
       "read_seq=%.2f read_cond=%.2f ht_insert=%.2f ht_null=%.2f "
       "ht_delete=%.2f ht_lookup={l1=%.2f l2=%.2f l3=%.2f mem=%.2f} "
-      "ns_per_cycle=%.3f str_seq_byte=%.3f",
+      "str_seq_byte=%.3f",
       read_seq, read_cond, ht_insert, ht_null, ht_delete, ht_lookup_l1,
-      ht_lookup_l2, ht_lookup_l3, ht_lookup_mem, ns_per_cycle, str_seq_byte);
+      ht_lookup_l2, ht_lookup_l3, ht_lookup_mem, str_seq_byte);
 }
 
 namespace {
+
+// Clock that converts EstimateComputeNs's cycle counts to ns.
+constexpr double kNsPerCycle = 0.45;
 
 // Sequential reads are bandwidth-bound: kernels now execute at the
 // column's physical width, so the per-tuple cost of a streaming read
@@ -138,7 +141,7 @@ double EstimateComputeNs(const CostProfile& p, const Expr& expr) {
       cycles = 2;  // selection overhead; arms accounted below
       break;
   }
-  double total = cycles * p.ns_per_cycle;
+  double total = cycles * kNsPerCycle;
   for (const ExprPtr& child : expr.children) {
     total += EstimateComputeNs(p, *child);
   }

@@ -33,12 +33,8 @@ struct CostProfile {
   double ht_insert = 12.0;   // hash-table insert (memory-resident table)
   double ht_null = 1.5;      // throwaway-entry access (always cached)
   double ht_delete = 12.0;   // tombstone delete
-  double ns_per_cycle = 0.45;
   // String-kernel cost per byte streamed through a match (arena bytes are
-  // read sequentially inside one row). Deliberately outside the online
-  // refit's fitted set (cost/feedback.h): the refit regresses tuple-grain
-  // access constants, and mixing a byte-grain term in would let string
-  // workloads skew the numeric fits.
+  // read sequentially inside one row).
   double str_seq_byte = 0.03;
 
   // Cache capacities (bytes) and per-level lookup costs.
@@ -139,7 +135,7 @@ double StringPushedCost(const CostProfile& p, const StringPredWorkload& w);
 double StringPulledCost(const CostProfile& p, const StringPredWorkload& w);
 
 /// "Introspection" estimate of the per-tuple compute cost of an expression
-/// (cycle counts per operator, converted by the profile's clock).
+/// (cycle counts per operator at a fixed ~2.2 GHz clock).
 double EstimateComputeNs(const CostProfile& p, const Expr& expr);
 
 // ---- Decisions ----

@@ -7,16 +7,14 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/timer.h"
 #include "cost/string_placement.h"
-#include "exec/admission.h"
 #include "exec/query_context.h"
 #include "exec/scheduler.h"
 #include "exec/spill.h"
 #include "expr/scalar_eval.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/table.h"
+#include "strategies/strategy.h"
 
 namespace swole {
 
@@ -121,27 +119,14 @@ int64_t AggIdentity(AggKind kind) {
 
 Result<QueryResult> ReferenceEngine::Execute(const QueryPlan& plan) {
   SWOLE_RETURN_NOT_OK(ValidatePlan(plan, catalog_));
-  // The oracle serves under the same admission regime as the strategy
+  // The oracle serves through the same entry sequence as the strategy
   // engines: correctness-checking traffic is still traffic.
-  exec::AdmissionScope admission(tenant_);
-  SWOLE_RETURN_NOT_OK(admission.status());
-  static obs::Counter& queries =
-      obs::MetricsRegistry::Global().GetCounter("queries.reference");
-  static obs::Histogram& latency =
-      obs::MetricsRegistry::Global().GetHistogram("query.latency_us.reference");
-  queries.Add(1);
-  Timer timer;
-  exec::GovernanceScope governance(query_ctx_, /*mem_limit_bytes=*/-1,
-                                   /*deadline_ms=*/-1);
-  Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    try {
-      return ExecuteGoverned(plan, governance.ctx());
-    } catch (...) {
-      return exec::StatusFromCurrentException(governance.ctx());
-    }
-  }();
-  latency.Record(timer.ElapsedNanos() / 1000);
-  return result;
+  StrategyOptions options;
+  options.query_ctx = query_ctx_;
+  options.tenant = tenant_;
+  return RunQuery("reference", options, [&](exec::QueryContext* qctx) {
+    return ExecuteGoverned(plan, qctx);
+  });
 }
 
 Result<QueryResult> ReferenceEngine::ExecuteGoverned(

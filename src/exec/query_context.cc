@@ -383,12 +383,8 @@ GovernanceScope::GovernanceScope(QueryContext* external,
       deadline_ms >= 0 ? deadline_ms : GetEnvInt64("SWOLE_DEADLINE_MS", 0);
   const bool trace_requested = trace != nullptr || TraceRequestedFromEnv();
   const bool perf_requested = obs::PerfCountersRequested();
-  // Cost-model refit (observe or apply) needs a context for the engines'
-  // observation carrier even when nothing else governs the query.
-  const bool refit_requested = cost::RefitEnabled();
   if (limits.mem_limit_bytes > 0 || limits.deadline_ms > 0 ||
-      trace_requested || perf_requested || refit_requested ||
-      pool != nullptr) {
+      trace_requested || perf_requested || pool != nullptr) {
     owned_ = new QueryContext(limits);
     ctx_ = owned_;
     if (pool != nullptr) {
@@ -426,11 +422,9 @@ GovernanceScope::GovernanceScope(QueryContext* external,
 }
 
 GovernanceScope::~GovernanceScope() {
-  obs::HwCounts hw_counts;
   if (perf_ != nullptr) {
     perf_->Stop();
     obs::HwCounts counts = perf_->Read();
-    hw_counts = counts;
     obs::QueryTrace* trace = ctx_ != nullptr ? ctx_->trace() : nullptr;
     if (trace != nullptr && counts.valid) {
       obs::QueryTrace::Span* root = trace->root();
@@ -442,21 +436,6 @@ GovernanceScope::~GovernanceScope() {
       SWOLE_LOG(DEBUG) << "hw counters: " << counts.ToString();
     }
     delete perf_;
-  }
-  // Cost-feedback handoff: the engine filled the estimate side of the
-  // observation on our owned context; complete it with the observed side
-  // (wall time here, hardware counts above) and forward. Only the OWNING
-  // scope reports — an external context belongs to an outer scope, which
-  // reports once for the whole attempt chain.
-  if (owned_ != nullptr && owned_->has_observation() &&
-      cost::RefitEnabled()) {
-    cost::QueryObservation record = owned_->observation();
-    record.elapsed_ns = static_cast<double>(timer_.ElapsedNanos());
-    if (hw_counts.valid) {
-      record.cycles = hw_counts.cycles;
-      record.llc_misses = hw_counts.llc_misses;
-    }
-    cost::CostFeedback::Global().Observe(record);
   }
   if (attached_trace_ && ctx_ != nullptr) {
     ctx_->AttachStatsToTrace();

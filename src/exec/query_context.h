@@ -12,8 +12,6 @@
 
 #include "common/query_abort.h"
 #include "common/status.h"
-#include "common/timer.h"
-#include "cost/feedback.h"
 
 namespace swole::obs {
 class PerfCounterSet;
@@ -199,20 +197,6 @@ class QueryContext {
   /// invoke it directly.
   void AttachStatsToTrace();
 
-  // ---- Cost-model feedback (cost/feedback.h) ----
-
-  /// Per-query observation carrier: the engine fills the estimate side
-  /// (rows, selectivity, predicted cost, technique) from the driving
-  /// thread; the owning GovernanceScope completes it with elapsed time and
-  /// hardware counts on teardown and forwards it to CostFeedback::Global().
-  /// Driving-thread only — not synchronized.
-  cost::QueryObservation* MutableObservation() {
-    has_observation_ = true;
-    return &observation_;
-  }
-  bool has_observation() const { return has_observation_; }
-  const cost::QueryObservation& observation() const { return observation_; }
-
  private:
   struct SiteStats {
     int64_t current = 0;
@@ -249,9 +233,6 @@ class QueryContext {
   int priority_ = 0;
 
   obs::QueryTrace* trace_ = nullptr;
-
-  cost::QueryObservation observation_;
-  bool has_observation_ = false;
 };
 
 /// Resolves the governance + observability configuration for one engine
@@ -259,17 +240,9 @@ class QueryContext {
 /// owned for the call when the options (or the SWOLE_MEM_LIMIT /
 /// SWOLE_DEADLINE_MS environment) configure any limit, when a trace is
 /// requested (explicit `trace` or SWOLE_TRACE=1), when hardware counters
-/// are requested (SWOLE_PERF_COUNTERS=1), or when cost-model refit is
-/// collecting observations (SWOLE_COST_REFIT=observe|apply — the
-/// observation carrier needs a context to ride on). ctx() is nullptr when
-/// ungoverned and untraced — the zero-overhead path: no hooks attach and
-/// no checks run.
-///
-/// A scope that OWNS its context forwards the context's QueryObservation
-/// (completed with elapsed wall time and hardware counts) to
-/// cost::CostFeedback::Global() on teardown — exactly one observation per
-/// query, from the outermost owning scope; scopes wrapping an external
-/// context never double-report.
+/// are requested (SWOLE_PERF_COUNTERS=1), or when a global memory pool is
+/// configured. ctx() is nullptr when ungoverned and untraced — the
+/// zero-overhead path: no hooks attach and no checks run.
 class GovernanceScope {
  public:
   /// `mem_limit_bytes` / `deadline_ms`: -1 defers to the environment
@@ -296,7 +269,6 @@ class GovernanceScope {
   obs::PerfCounterSet* perf_ = nullptr;
   bool attached_trace_ = false;
   bool attached_pool_ = false;
-  Timer timer_;  // elapsed side of the cost-feedback observation
 };
 
 /// Maps the in-flight exception to a Status: QueryAbort (and the pending

@@ -366,7 +366,6 @@ class GroupTable {
 
   HashTable& table() { return table_; }
   const HashTable& table() const { return table_; }
-  int64_t ht_bytes() const { return table_.ByteSize(); }
 
   /// Extracts the final result, sorted by key. Drops the throwaway entry;
   /// drops untouched groups unless `keep_untouched` (Q13's left-outer zero

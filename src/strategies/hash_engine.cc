@@ -1,20 +1,14 @@
 #include "strategies/hash_engine.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <optional>
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/timer.h"
-#include "cost/estimates.h"
-#include "cost/feedback.h"
 #include "cost/string_placement.h"
-#include "exec/admission.h"
 #include "exec/scheduler.h"
 #include "exec/spill.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace swole {
@@ -23,34 +17,6 @@ using pipeline::AggShape;
 using pipeline::GroupTable;
 using pipeline::ResolvedPath;
 using pipeline::Scratch;
-
-namespace {
-
-// Bound-once metric handles per strategy kind. One HashStrategyEngine
-// class serves three kinds, so a single function-local static at the call
-// site would bind whichever kind executed first; and per-call
-// GetCounter/GetHistogram lookups take the registry mutex, which
-// concurrent driver threads contend on every query.
-struct EngineMetrics {
-  obs::Counter* queries;
-  obs::Histogram* latency;
-};
-
-EngineMetrics& MetricsFor(StrategyKind kind) {
-  static std::array<EngineMetrics, 4> table = [] {
-    std::array<EngineMetrics, 4> t{};
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    for (int k = 0; k < 4; ++k) {
-      const char* name = StrategyKindName(static_cast<StrategyKind>(k));
-      t[k] = {&reg.GetCounter(std::string("queries.") + name),
-              &reg.GetHistogram(std::string("query.latency_us.") + name)};
-    }
-    return t;
-  }();
-  return table[static_cast<int>(kind)];
-}
-
-}  // namespace
 
 HashStrategyEngine::HashStrategyEngine(StrategyKind kind,
                                        const Catalog& catalog,
@@ -61,75 +27,9 @@ HashStrategyEngine::HashStrategyEngine(StrategyKind kind,
 
 Result<QueryResult> HashStrategyEngine::Execute(const QueryPlan& plan) {
   SWOLE_RETURN_NOT_OK(ValidatePlan(plan, catalog_));
-
-  // Admission before any work (exec/admission.h): a shed query costs the
-  // server nothing but the rejection Status. When this engine runs as the
-  // SWOLE degradation fallback on an already-admitted thread, the scope is
-  // a no-op riding the outer slot.
-  exec::AdmissionScope admission(options_.tenant);
-  SWOLE_RETURN_NOT_OK(admission.status());
-
-  EngineMetrics& metrics = MetricsFor(kind_);
-  metrics.queries->Add(1);
-  Timer timer;
-  exec::GovernanceScope governance(options_.query_ctx,
-                                   options_.mem_limit_bytes,
-                                   options_.deadline_ms, options_.trace);
-  if (governance.ctx() != nullptr && options_.priority != 0) {
-    governance.ctx()->set_priority(options_.priority);
-  }
-  if (governance.ctx() != nullptr && options_.spill >= 0) {
-    governance.ctx()->set_spill_enabled(options_.spill == 1);
-  }
-
-  // Estimate side of the cost-feedback observation (cost/feedback.h): the
-  // traditional engines run the conditional-access plan the Hybrid formula
-  // models, so their observed runtimes anchor the bandwidth fit from the
-  // non-pullup side. The owning GovernanceScope completes the record with
-  // elapsed time and hardware counts on teardown.
-  if (governance.ctx() != nullptr && cost::RefitEnabled()) {
-    const Table& fact = catalog_.TableRef(plan.fact_table);
-    double sigma = plan.fact_filter != nullptr
-                       ? EstimateSelectivity(fact, *plan.fact_filter)
-                       : 1.0;
-    for (const DimJoin& dim : plan.dims) {
-      if (dim.filter != nullptr) {
-        sigma *= EstimateSelectivity(catalog_.TableRef(dim.hop.to_table),
-                                     *dim.filter);
-      }
-    }
-    AggWorkload w;
-    w.rows = static_cast<double>(fact.num_rows());
-    w.selectivity = sigma;
-    w.avg_read_width = pipeline::AvgFactReadWidthBytes(fact, plan);
-    if (plan.HasGroupBy()) {
-      // Rough open-addressing footprint: key slot + payload per aggregate.
-      w.group_ht_bytes = pipeline::ExpectedGroups(catalog_, plan) * 8 *
-                         static_cast<int64_t>(2 + plan.aggs.size());
-    }
-    const CostProfile profile = options_.cost_profile != nullptr
-                                    ? *options_.cost_profile
-                                    : CostProfile::Default();
-    cost::QueryObservation* record =
-        governance.ctx()->MutableObservation();
-    record->rows = w.rows;
-    record->selectivity = sigma;
-    record->num_read_columns = w.num_read_columns;
-    record->avg_read_width = w.avg_read_width;
-    record->group_ht_bytes = w.group_ht_bytes;
-    record->predicted_ns = HybridCost(profile, w);
-    record->technique = name();
-  }
-
-  Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    try {
-      return ExecuteGoverned(plan, governance.ctx());
-    } catch (...) {
-      return exec::StatusFromCurrentException(governance.ctx());
-    }
-  }();
-  metrics.latency->Record(timer.ElapsedNanos() / 1000);
-  return result;
+  return RunQuery(name(), options_, [&](exec::QueryContext* qctx) {
+    return ExecuteGoverned(plan, qctx);
+  });
 }
 
 Result<QueryResult> HashStrategyEngine::ExecuteGoverned(

@@ -1,6 +1,7 @@
 #ifndef SWOLE_STRATEGIES_STRATEGY_H_
 #define SWOLE_STRATEGIES_STRATEGY_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -158,6 +159,33 @@ std::unique_ptr<Strategy> MakeStrategy(StrategyKind kind,
 class SwoleStrategy;
 std::unique_ptr<SwoleStrategy> MakeSwoleStrategy(const Catalog& catalog,
                                                  StrategyOptions options = {});
+
+/// An engine's share of one query: its work under the resolved context
+/// (null when the query is ungoverned and untraced).
+using QueryBody = std::function<Result<QueryResult>(exec::QueryContext*)>;
+
+/// The per-query entry sequence every engine's Execute runs through (the
+/// strategy engines, ReferenceEngine, and codegen::ExecuteWithFallback):
+///
+///   1. AdmissionScope(options.tenant). A shed query returns here,
+///      uncounted. Nested calls ride the outer call's slot.
+///   2. queries.<engine_name> and the latency timer.
+///   3. GovernanceScope(query_ctx, mem_limit_bytes, deadline_ms, trace),
+///      then options.priority and options.spill on the resolved context.
+///   4. body(ctx). Any exception becomes a Status
+///      (exec::StatusFromCurrentException).
+///   5. On kBudgetExceeded, when there is a context and a hook:
+///      CountDegradation(), then on_budget_breach(ctx), at most once, under
+///      the same context.
+///   6. query.latency_us.<engine_name>, recorded on every exit after
+///      admission, so it covers the retry.
+///
+/// `engine_name` is a StrategyKindName, "reference" or "jit"; its metric
+/// handles are bound once per process.
+Result<QueryResult> RunQuery(const char* engine_name,
+                             const StrategyOptions& options,
+                             const QueryBody& body,
+                             const QueryBody& on_budget_breach = {});
 
 }  // namespace swole
 

@@ -9,14 +9,10 @@
 #include "common/bit_util.h"
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/timer.h"
 #include "cost/estimates.h"
-#include "cost/feedback.h"
 #include "cost/string_placement.h"
-#include "exec/admission.h"
 #include "exec/scheduler.h"
 #include "exec/spill.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace swole {
@@ -103,10 +99,6 @@ struct SwoleStrategy::PlanAnalysis {
   int groupjoin_dim = -1;
   int num_read_columns = 1;
   double avg_read_width = 8.0;  // bytes; 8.0 when forced to widen
-  // Feedback inputs (cost/feedback.h): the chosen technique's total model
-  // cost and its expected LLC misses per fact tuple (0 = cache-resident).
-  double predicted_ns = 0;
-  double expected_misses_per_tuple = 0;
   // Cost-model decision inputs, rendered once for the trace (obs/trace.h).
   std::string agg_cost_detail;
   std::string ea_cost_detail;
@@ -120,9 +112,8 @@ struct SwoleStrategy::PlanAnalysis {
 };
 
 // Memoized analysis + the decision trace it produced, keyed by the plan's
-// structural fingerprint (QueryPlan::ToString). refit_epoch records which
-// cost-feedback state the analysis was made under: -1 = refit not applied
-// (the profile was the static one), otherwise the feedback epoch.
+// structural fingerprint (QueryPlan::ToString) and the SWOLE_STR_PLACEMENT
+// mode it was made under.
 struct SwoleStrategy::CachedAnalysis {
   // The entry's own clone of the analyzed plan: the analysis holds
   // pointers into its expression tree (str_split.pulled), and a caller's
@@ -130,11 +121,6 @@ struct SwoleStrategy::CachedAnalysis {
   QueryPlan plan;
   PlanAnalysis analysis;
   SwoleDecisions decisions;
-  int64_t refit_epoch = -1;
-  // The SWOLE_STR_PLACEMENT mode the analysis was made under: tests and
-  // benches flip the env between queries on the same plan, so a mode
-  // change must invalidate the memoized split.
-  StringPlacementMode str_mode = StringPlacementMode::kAuto;
 };
 
 SwoleStrategy::SwoleStrategy(const Catalog& catalog, StrategyOptions options)
@@ -147,123 +133,61 @@ SwoleStrategy::~SwoleStrategy() = default;
 
 Result<QueryResult> SwoleStrategy::Execute(const QueryPlan& plan) {
   SWOLE_RETURN_NOT_OK(ValidatePlan(plan, catalog_));
-
-  // Admission before any work: a shed query costs the server nothing but
-  // the rejection Status (exec/admission.h). Nested calls — the
-  // degradation retry below re-enters Execute on this thread — ride the
-  // outer scope's slot.
-  exec::AdmissionScope admission(options_.tenant);
-  SWOLE_RETURN_NOT_OK(admission.status());
-
-  // Bound-once handles: per-call GetCounter takes the registry mutex,
-  // which concurrent driver threads would contend on every query.
-  static obs::Counter& queries =
-      obs::MetricsRegistry::Global().GetCounter("queries.swole");
-  static obs::Histogram& latency =
-      obs::MetricsRegistry::Global().GetHistogram("query.latency_us.swole");
-  queries.Add(1);
-  Timer timer;
-  const CachedAnalysis& cached = Analyze(plan);
-  const PlanAnalysis& analysis = cached.analysis;
-  exec::GovernanceScope governance(options_.query_ctx,
-                                   options_.mem_limit_bytes,
-                                   options_.deadline_ms, options_.trace);
-  exec::QueryContext* qctx = governance.ctx();
-  if (qctx != nullptr && options_.priority != 0) {
-    qctx->set_priority(options_.priority);
-  }
-  if (qctx != nullptr && options_.spill >= 0) {
-    qctx->set_spill_enabled(options_.spill == 1);
-  }
-  obs::QueryTrace* trace = qctx != nullptr ? qctx->trace() : nullptr;
-
-  // Estimate side of the cost-feedback observation; the owning
-  // GovernanceScope completes it with elapsed time + hardware counts on
-  // teardown. The mid-query re-decision below upgrades selectivity from
-  // estimate to observed when the build phase measured it.
-  if (qctx != nullptr && cost::RefitEnabled()) {
-    cost::QueryObservation* record = qctx->MutableObservation();
-    record->rows =
-        static_cast<double>(catalog_.TableRef(plan.fact_table).num_rows());
-    record->selectivity = analysis.sigma_total;
-    record->num_read_columns = analysis.num_read_columns;
-    record->avg_read_width = analysis.avg_read_width;
-    record->group_ht_bytes = analysis.group_ht_bytes;
-    record->predicted_ns = analysis.predicted_ns;
-    record->expected_misses_per_tuple = analysis.expected_misses_per_tuple;
-    record->technique =
-        std::string("swole/") + cached.decisions.aggregation;
-  }
-
-  Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    // The strategy decision and the cost-model numbers it was made on go
-    // onto the engine span, so a trace explains *why* this plan ran as
-    // VM/KM/EA/groupjoin, not just that it did. Attrs read the immutable
-    // cache entry, not decisions_, so concurrent Executes don't race.
-    obs::SpanScope engine_span(trace, "swole");
-    if (trace != nullptr) {
-      engine_span.Attr("agg", cached.decisions.aggregation);
-      if (analysis.use_ea) engine_span.Attr("ea", int64_t{1});
-      if (analysis.groupjoin_dim >= 0) {
-        engine_span.Attr("groupjoin_dim",
-                         static_cast<int64_t>(analysis.groupjoin_dim));
-      }
-      if (cached.decisions.used_access_merging) {
-        engine_span.Attr("access_merging", int64_t{1});
-      }
-      if (analysis.str_split.workload.rows > 0) {
-        engine_span.Attr("cost.str", analysis.str_split.rationale);
-      }
-      if (!analysis.agg_cost_detail.empty()) {
-        engine_span.Attr("cost.agg", analysis.agg_cost_detail);
-      }
-      if (!analysis.ea_cost_detail.empty()) {
-        engine_span.Attr("cost.ea", analysis.ea_cost_detail);
-      }
-    }
-    try {
-      if (analysis.use_ea) {
-        return ExecuteEagerAggregation(plan, analysis, qctx);
-      }
-      if (analysis.groupjoin_dim >= 0) {
-        return ExecuteGroupjoin(plan, analysis, qctx);
-      }
-      return ExecuteGeneral(plan, analysis, qctx);
-    } catch (...) {
-      return exec::StatusFromCurrentException(qctx);
-    }
-  }();
-
-  // Graceful degradation: when the pullup plan breached its memory budget,
-  // retry once under the memory-lean data-centric strategy against the
-  // SAME context. The pullup build structures were destroyed during
-  // unwinding (their trackers released), so the retry starts from the
-  // query's baseline consumption. Deadline and cancellation are terminal —
-  // retrying cannot make the clock go backwards.
-  if (!result.ok() && qctx != nullptr &&
-      result.status().code() == StatusCode::kBudgetExceeded) {
-    SWOLE_LOG(WARNING) << "swole plan breached its memory budget ("
-                       << result.status().message()
-                       << "); degrading to data-centric";
-    qctx->CountDegradation();
-    {
-      std::lock_guard<std::mutex> lock(analysis_mu_);
-      decisions_.degraded_to_data_centric = true;
-      decisions_.rationale +=
-          " [budget breach: degraded to data-centric strategy]";
-    }
-    StrategyOptions lean = options_;
-    lean.query_ctx = qctx;  // same budget, deadline, and cancellation token
-    std::unique_ptr<Strategy> fallback =
-        MakeStrategy(StrategyKind::kDataCentric, catalog_, lean);
-    result = fallback->Execute(plan);
-  }
-
-  // Stamped after the degradation retry: the histogram carries what the
-  // CLIENT observed for this query, not just the first attempt — under
-  // concurrency that difference is exactly the tail the p99 must show.
-  latency.Record(timer.ElapsedNanos() / 1000);
-  return result;
+  return RunQuery(
+      "swole", options_,
+      [&](exec::QueryContext* qctx) -> Result<QueryResult> {
+        const CachedAnalysis& cached = Analyze(plan);
+        const PlanAnalysis& analysis = cached.analysis;
+        // The strategy decision and the cost-model numbers it was made on
+        // go onto the engine span, so a trace explains *why* this plan ran
+        // as VM/KM/EA/groupjoin, not just that it did. Attrs read the
+        // immutable cache entry, not decisions_, so concurrent Executes
+        // don't race.
+        obs::QueryTrace* trace = qctx != nullptr ? qctx->trace() : nullptr;
+        obs::SpanScope engine_span(trace, "swole");
+        if (trace != nullptr) {
+          engine_span.Attr("agg", cached.decisions.aggregation);
+          if (analysis.use_ea) engine_span.Attr("ea", int64_t{1});
+          if (analysis.groupjoin_dim >= 0) {
+            engine_span.Attr("groupjoin_dim",
+                             static_cast<int64_t>(analysis.groupjoin_dim));
+          }
+          if (cached.decisions.used_access_merging) {
+            engine_span.Attr("access_merging", int64_t{1});
+          }
+          if (analysis.str_split.workload.rows > 0) {
+            engine_span.Attr("cost.str", analysis.str_split.rationale);
+          }
+          if (!analysis.agg_cost_detail.empty()) {
+            engine_span.Attr("cost.agg", analysis.agg_cost_detail);
+          }
+          if (!analysis.ea_cost_detail.empty()) {
+            engine_span.Attr("cost.ea", analysis.ea_cost_detail);
+          }
+        }
+        if (analysis.use_ea) {
+          return ExecuteEagerAggregation(plan, analysis, qctx);
+        }
+        if (analysis.groupjoin_dim >= 0) {
+          return ExecuteGroupjoin(plan, analysis, qctx);
+        }
+        return ExecuteGeneral(plan, analysis, qctx);
+      },
+      // Graceful degradation: a pullup plan that breached its memory budget
+      // is retried under the memory-lean data-centric strategy against the
+      // same context.
+      [&](exec::QueryContext* qctx) {
+        {
+          std::lock_guard<std::mutex> lock(analysis_mu_);
+          decisions_.degraded_to_data_centric = true;
+          decisions_.rationale +=
+              " [budget breach: degraded to data-centric strategy]";
+        }
+        StrategyOptions lean = options_;
+        lean.query_ctx = qctx;  // same budget, deadline, and cancellation
+        return MakeStrategy(StrategyKind::kDataCentric, catalog_, lean)
+            ->Execute(plan);
+      });
 }
 
 const SwoleStrategy::CachedAnalysis& SwoleStrategy::Analyze(
@@ -272,35 +196,19 @@ const SwoleStrategy::CachedAnalysis& SwoleStrategy::Analyze(
   // to execution and memoized per plan structure, so serializing them is
   // not a serving bottleneck; entries are heap-stable once published, so
   // the returned reference outlives the lock.
-  const std::string fingerprint = requested.ToString();
-  std::lock_guard<std::mutex> lock(analysis_mu_);
-  // Under SWOLE_COST_REFIT=apply the decisions are made on the refitted
-  // profile, and a memoized entry is only valid for the feedback epoch it
-  // was computed under — a materially moved fit re-analyzes the plan. The
-  // superseded entry is retired, not destroyed: concurrent Executes may
-  // still hold references into it.
-  const bool refit_apply =
-      cost::CurrentRefitMode() == cost::RefitMode::kApply;
-  const int64_t refit_epoch =
-      refit_apply ? cost::CostFeedback::Global().epoch() : -1;
+  // Tests and benches flip SWOLE_STR_PLACEMENT between queries on the
+  // same plan, so the mode is part of the key.
   const StringPlacementMode str_mode = StringPlacementModeFromEnv();
-  auto cache_it = analysis_cache_.find(fingerprint);
-  if (cache_it != analysis_cache_.end() &&
-      cache_it->second->refit_epoch == refit_epoch &&
-      cache_it->second->str_mode == str_mode) {
+  auto key = std::make_pair(requested.ToString(), str_mode);
+  std::lock_guard<std::mutex> lock(analysis_mu_);
+  auto cache_it = analysis_cache_.find(key);
+  if (cache_it != analysis_cache_.end()) {
     decisions_ = cache_it->second->decisions;
     return *cache_it->second;
-  }
-  if (cache_it != analysis_cache_.end()) {
-    retired_analyses_.push_back(std::move(cache_it->second));
-    analysis_cache_.erase(cache_it);
   }
   auto cached = std::make_unique<CachedAnalysis>();
   cached->plan = requested.Clone();
   const QueryPlan& plan = cached->plan;
-  const CostProfile profile =
-      refit_apply ? cost::CostFeedback::Global().Refitted(profile_)
-                  : profile_;
 
   const Table& fact = catalog_.TableRef(plan.fact_table);
   PlanAnalysis analysis;
@@ -328,7 +236,7 @@ const SwoleStrategy::CachedAnalysis& SwoleStrategy::Analyze(
   std::set<std::string> agg_columns;
   for (const AggSpec& agg : plan.aggs) {
     if (agg.expr != nullptr) {
-      analysis.comp_ns += EstimateComputeNs(profile, *agg.expr);
+      analysis.comp_ns += EstimateComputeNs(profile_, *agg.expr);
       for (const std::string& ref : CollectColumnRefs(*agg.expr)) {
         agg_columns.insert(ref);
       }
@@ -361,7 +269,7 @@ const SwoleStrategy::CachedAnalysis& SwoleStrategy::Analyze(
   }
 
   // ---- String predicate placement (access-aware pullup for raw text) ----
-  analysis.str_split = DecideStringPlacement(plan, catalog_, profile,
+  analysis.str_split = DecideStringPlacement(plan, catalog_, profile_,
                                              str_mode);
   if (analysis.str_split.workload.rows > 0) {
     decisions_.used_string_pullup = analysis.str_split.pull;
@@ -397,12 +305,12 @@ const SwoleStrategy::CachedAnalysis& SwoleStrategy::Analyze(
     w.num_read_columns = analysis.num_read_columns;
     w.avg_read_width = analysis.avg_read_width;
     analysis.use_ea = options_.force_eager_aggregation ||
-                      ChooseEagerAggregation(profile, w);
+                      ChooseEagerAggregation(profile_, w);
     decisions_.rationale += StringFormat(
         "EA=%.0fms vs groupjoin=%.0fms; ",
-        EagerAggregationCost(profile, w) / 1e6,
-        GroupjoinCost(profile, w) / 1e6);
-    analysis.ea_cost_detail = DescribeEagerDecision(profile, w);
+        EagerAggregationCost(profile_, w) / 1e6,
+        GroupjoinCost(profile_, w) / 1e6);
+    analysis.ea_cost_detail = DescribeEagerDecision(profile_, w);
   }
 
   // ---- Aggregation technique decision (§III-A/B) ----
@@ -424,7 +332,7 @@ const SwoleStrategy::CachedAnalysis& SwoleStrategy::Analyze(
       analysis.agg_choice = AggChoice::kHybridFallback;
       break;
     case StrategyOptions::ForceAgg::kAuto: {
-      analysis.agg_choice = ChooseAggregation(profile, w);
+      analysis.agg_choice = ChooseAggregation(profile_, w);
       if (analysis.agg_choice == AggChoice::kValueMasking &&
           !options_.enable_value_masking) {
         analysis.agg_choice = AggChoice::kHybridFallback;
@@ -439,34 +347,7 @@ const SwoleStrategy::CachedAnalysis& SwoleStrategy::Analyze(
     }
   }
   decisions_.aggregation = AggChoiceName(analysis.agg_choice);
-  analysis.agg_cost_detail = DescribeAggDecision(profile, w);
-  // Feedback inputs for the chosen technique: its own cost formula is the
-  // prediction the refit compares wall time against, and its expected LLC
-  // miss traffic (≈ one lookup per aggregated tuple once the group table
-  // spills past L3) is what the memory-scale fit compares misses against.
-  switch (analysis.agg_choice) {
-    case AggChoice::kHybridFallback:
-      analysis.predicted_ns = HybridCost(profile, w);
-      break;
-    case AggChoice::kValueMasking:
-      analysis.predicted_ns = ValueMaskingCost(profile, w);
-      break;
-    case AggChoice::kKeyMasking:
-      analysis.predicted_ns = KeyMaskingCost(profile, w);
-      break;
-  }
-  if (w.group_ht_bytes > profile.l3_bytes) {
-    analysis.expected_misses_per_tuple =
-        analysis.agg_choice == AggChoice::kValueMasking ? 1.0
-                                                        : w.selectivity;
-  }
-  if (refit_apply && refit_epoch > 0) {
-    decisions_.rationale += StringFormat(
-        "[refit epoch=%lld bw=%.2f mem=%.2f] ",
-        static_cast<long long>(refit_epoch),
-        cost::CostFeedback::Global().bandwidth_scale(),
-        cost::CostFeedback::Global().memory_scale());
-  }
+  analysis.agg_cost_detail = DescribeAggDecision(profile_, w);
   decisions_.used_eager_aggregation = analysis.use_ea;
   decisions_.used_positional_bitmaps =
       options_.enable_positional_bitmaps &&
@@ -560,92 +441,8 @@ const SwoleStrategy::CachedAnalysis& SwoleStrategy::Analyze(
 
   cached->analysis = std::move(analysis);
   cached->decisions = decisions_;
-  cached->refit_epoch = refit_epoch;
-  cached->str_mode = str_mode;
-  cache_it = analysis_cache_.emplace(fingerprint, std::move(cached)).first;
+  cache_it = analysis_cache_.emplace(std::move(key), std::move(cached)).first;
   return *cache_it->second;
-}
-
-// ---------------------------------------------------------------------------
-// Mid-query re-decision (adaptive pullup): between the build and probe
-// phases, the dim qualification structures just materialized turn the
-// plan's estimated selectivity / group-table size into measurements — so
-// the VM/KM/hybrid choice can be re-run on facts before any probe work is
-// committed. Safe by construction: every technique is bit-identical
-// (DESIGN.md §7), so an overturned choice changes performance, never
-// results; and the observed inputs (bitmap popcounts, seeded table bytes)
-// are thread-count invariant, so the re-decision is deterministic at any
-// parallelism. In observe mode the would-be decision is only recorded; in
-// apply mode it takes effect.
-// ---------------------------------------------------------------------------
-
-AggChoice SwoleStrategy::ReDecideAggregation(const PlanAnalysis& analysis,
-                                             double fact_rows,
-                                             double observed_sigma,
-                                             int64_t observed_ht_bytes,
-                                             exec::QueryContext* qctx,
-                                             const char* where) {
-  static obs::Counter& considered = obs::MetricsRegistry::Global().GetCounter(
-      "cost.redecision.considered");
-  static obs::Counter& overturned = obs::MetricsRegistry::Global().GetCounter(
-      "cost.redecision.overturned");
-  considered.Add(1);
-
-  // Rebuild the workload the up-front decision used, with observations
-  // substituted where the build phase produced them.
-  AggWorkload w;
-  w.rows = fact_rows;
-  w.selectivity = observed_sigma;
-  w.comp_ns = analysis.comp_ns;
-  w.group_ht_bytes =
-      observed_ht_bytes > 0 ? observed_ht_bytes : analysis.group_ht_bytes;
-  w.num_read_columns = analysis.num_read_columns;
-  w.avg_read_width = analysis.avg_read_width;
-
-  const bool apply = cost::CurrentRefitMode() == cost::RefitMode::kApply;
-  const CostProfile profile =
-      apply ? cost::CostFeedback::Global().Refitted(profile_) : profile_;
-
-  AggChoice rechoice = ChooseAggregation(profile, w);
-  // Mirror Analyze's ablation gates.
-  if (rechoice == AggChoice::kValueMasking &&
-      !options_.enable_value_masking) {
-    rechoice = AggChoice::kHybridFallback;
-  }
-  if (rechoice == AggChoice::kKeyMasking && !options_.enable_key_masking) {
-    rechoice = options_.enable_value_masking ? AggChoice::kValueMasking
-                                             : AggChoice::kHybridFallback;
-  }
-
-  obs::QueryTrace* trace = qctx != nullptr ? qctx->trace() : nullptr;
-  if (trace != nullptr) {
-    obs::QueryTrace::Span* root = trace->root();
-    trace->AddAttr(root, "redecision.point", where);
-    trace->AddAttr(root, "redecision.sigma_obs",
-                   StringFormat("%.4f", observed_sigma));
-    if (observed_ht_bytes > 0) {
-      trace->AddAttr(root, "redecision.ht_bytes", observed_ht_bytes);
-    }
-    trace->AddAttr(root, "redecision.agg", AggChoiceName(rechoice));
-    trace->AddAttr(root, "redecision.applied",
-                   int64_t{apply && rechoice != analysis.agg_choice ? 1 : 0});
-  }
-  if (qctx != nullptr && qctx->has_observation()) {
-    qctx->MutableObservation()->selectivity = observed_sigma;
-  }
-
-  if (rechoice == analysis.agg_choice) return analysis.agg_choice;
-  overturned.Add(1);
-  if (!apply) return analysis.agg_choice;  // observe mode: record only
-  {
-    std::lock_guard<std::mutex> lock(analysis_mu_);
-    decisions_.aggregation = AggChoiceName(rechoice);
-    decisions_.rationale += StringFormat(
-        " [mid-query re-decision at %s: %s -> %s, sigma_obs=%.4f]", where,
-        AggChoiceName(analysis.agg_choice), AggChoiceName(rechoice),
-        observed_sigma);
-  }
-  return rechoice;
 }
 
 // ---------------------------------------------------------------------------
@@ -759,44 +556,15 @@ Result<QueryResult> SwoleStrategy::ExecuteGeneral(
     }
   }
 
-  // ---- Mid-query re-decision point ----
-  // The dim and reverse bitmaps just built carry exact qualification
-  // popcounts; substitute them for the estimated factors and re-choose the
-  // technique before the probe commits. Only when the choice was the cost
-  // model's to make (kAuto) and feedback is collecting.
-  AggChoice live_choice = analysis.agg_choice;
-  if (cost::RefitEnabled() &&
-      options_.force_agg == StrategyOptions::ForceAgg::kAuto && use_bitmaps &&
-      (!dim_bitmaps.empty() || !reverse_bitmaps.empty())) {
-    double observed_sigma = analysis.sigma_fact;
-    for (const PositionalBitmap& bm : dim_bitmaps) {
-      if (bm.num_bits() > 0) {
-        observed_sigma *= static_cast<double>(bm.CountSetBits()) /
-                          static_cast<double>(bm.num_bits());
-      }
-    }
-    for (const PositionalBitmap& bm : reverse_bitmaps) {
-      if (bm.num_bits() > 0) {
-        observed_sigma *= static_cast<double>(bm.CountSetBits()) /
-                          static_cast<double>(bm.num_bits());
-      }
-    }
-    live_choice = ReDecideAggregation(
-        analysis, static_cast<double>(fact.num_rows()), observed_sigma,
-        groups != nullptr ? groups->ht_bytes() : 0, qctx, "general-probe");
-  }
-
-  // Access merging was analyzed under the up-front VM choice; if the
-  // re-decision moved away from VM the merged path is simply not taken
-  // (scalar VM is the only consumer), and the mask filter must be the full
-  // scan-side filter again. Pulled string conjuncts are in neither: they
-  // run after every other qualification below.
-  const bool merging = decisions_.used_access_merging &&
-                       live_choice == AggChoice::kValueMasking;
+  // Access merging (analyzed only under value masking) folds its
+  // conjuncts into the first reads, so the mask filter is the residual.
+  // Pulled string conjuncts are in neither: they run after every other
+  // qualification below.
+  const bool merging = !analysis.merges.empty();
   const Expr* mask_filter = merging ? analysis.residual_filter.get()
                                     : analysis.str_split.scan_filter.get();
 
-  const bool mask_mode = live_choice != AggChoice::kHybridFallback;
+  const bool mask_mode = analysis.agg_choice != AggChoice::kHybridFallback;
 
   // Per-worker probe context: every scheduler participant aggregates into
   // a private state; worker 0 owns the primary (seeded) group table and
@@ -1015,7 +783,7 @@ Result<QueryResult> SwoleStrategy::ExecuteGeneral(
           }
         }
       }
-      if (live_choice == AggChoice::kKeyMasking) {
+      if (analysis.agg_choice == AggChoice::kKeyMasking) {
         MaskKeysInPlace(keys, cmp, len);
         groups->UpdateMaskedKeys(keys, value_ptrs, len);
       } else {
@@ -1255,26 +1023,9 @@ Result<QueryResult> SwoleStrategy::ExecuteGroupjoin(
     shapes.push_back(pipeline::DetectAggShape(fact, agg));
   }
 
-  // Mid-query re-decision: the groupjoin table is seeded and the other-dim
-  // bitmaps are built, so the estimate side of the §III-A/B choice can be
-  // replaced with observations before the probe commits to a technique.
-  AggChoice live_choice = analysis.agg_choice;
-  if (cost::RefitEnabled() &&
-      options_.force_agg == StrategyOptions::ForceAgg::kAuto) {
-    double observed_sigma = analysis.sigma_fact;
-    for (const PositionalBitmap& bm : other_bitmaps) {
-      if (bm.num_bits() > 0) {
-        observed_sigma *= static_cast<double>(bm.CountSetBits()) /
-                          static_cast<double>(bm.num_bits());
-      }
-    }
-    live_choice = ReDecideAggregation(
-        analysis, static_cast<double>(fact.num_rows()), observed_sigma,
-        groups.ht_bytes(), qctx, "groupjoin-probe");
-  }
-
   const Column& fk = fact.ColumnRef(gdim.hop.fk_column);
-  const bool hybrid_fallback = live_choice == AggChoice::kHybridFallback;
+  const bool hybrid_fallback =
+      analysis.agg_choice == AggChoice::kHybridFallback;
 
   // Per-worker probe context. The groupjoin probe is join-mode (Find, no
   // insert), so every worker's table must carry the seeded key set:
@@ -1340,7 +1091,7 @@ Result<QueryResult> SwoleStrategy::ExecuteGroupjoin(
         pipeline::AggValuesAll(fact, &eval, plan.aggs[a], shapes[a], start,
                                len, &scratch, value_ptrs[a]);
       }
-      if (live_choice == AggChoice::kKeyMasking) {
+      if (analysis.agg_choice == AggChoice::kKeyMasking) {
         MaskKeysInPlace(keys, cmp, len);
         groups.UpdateJoinMasked(keys, value_ptrs, nullptr, len);
       } else {

@@ -5,8 +5,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
+#include <utility>
 
+#include "cost/string_placement.h"
 #include "strategies/common.h"
 #include "strategies/strategy.h"
 
@@ -44,26 +45,14 @@ class SwoleStrategy : public Strategy {
   struct CachedAnalysis;
 
   /// Runs the cost-model analysis for `plan`, memoized per plan structure
-  /// (the paper's timings cover query processing, not planning — repeated
-  /// executions of the same plan reuse the decisions). Entries are keyed
-  /// by QueryPlan::ToString and analyze their own clone of the plan, so a
-  /// different plan at a reused address never hits a stale entry.
-  /// Thread-safe: the cache is mutex-guarded and entries are stable once
-  /// published. Under SWOLE_COST_REFIT=apply the analysis is made on the
-  /// refitted profile and keyed on the feedback epoch: when the fitted
-  /// scales move materially, the plan re-analyzes (the superseded entry is
-  /// retired, not destroyed, so references held by in-flight executions
-  /// stay valid); with refit off, memoization behaves exactly as before.
+  /// and string-placement mode (the paper's timings cover query
+  /// processing, not planning — repeated executions of the same plan reuse
+  /// the decisions). Entries are keyed by QueryPlan::ToString plus the
+  /// SWOLE_STR_PLACEMENT mode and analyze their own clone of the plan, so a
+  /// different plan at a reused address never hits a stale entry, and a
+  /// mode flip gets its own entry. Thread-safe: the cache is mutex-guarded
+  /// and entries are never replaced, so references stay valid.
   const CachedAnalysis& Analyze(const QueryPlan& plan);
-
-  /// Mid-query re-decision (ExecuteGeneral / ExecuteGroupjoin): re-runs
-  /// the aggregation-technique choice with build-phase observations
-  /// substituted for estimates. Returns the (possibly overturned) choice;
-  /// records the decision on the trace root and in decisions_.rationale.
-  AggChoice ReDecideAggregation(const PlanAnalysis& analysis,
-                                double fact_rows, double observed_sigma,
-                                int64_t observed_ht_bytes,
-                                exec::QueryContext* qctx, const char* where);
 
   Result<QueryResult> ExecuteEagerAggregation(const QueryPlan& plan,
                                               const PlanAnalysis& analysis,
@@ -82,11 +71,9 @@ class SwoleStrategy : public Strategy {
   // Guards analysis_cache_ and writes to decisions_ (Analyze runs from
   // concurrent driver threads when an instance is shared).
   mutable std::mutex analysis_mu_;
-  std::map<std::string, std::unique_ptr<CachedAnalysis>> analysis_cache_;
-  // Entries superseded by a refit-epoch change. Kept alive (not destroyed)
-  // because concurrent Executes may still hold references; growth is
-  // bounded by material model shifts, not by query count.
-  std::vector<std::unique_ptr<CachedAnalysis>> retired_analyses_;
+  std::map<std::pair<std::string, StringPlacementMode>,
+           std::unique_ptr<CachedAnalysis>>
+      analysis_cache_;
 };
 
 }  // namespace swole

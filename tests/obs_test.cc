@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
 #include <string>
@@ -19,6 +20,7 @@
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/status.h"
+#include "engine/reference_engine.h"
 #include "exec/query_context.h"
 #include "micro/micro.h"
 #include "obs/metrics.h"
@@ -360,20 +362,111 @@ TEST_F(ObsTest, ConcurrentTracedQueriesAreSafe) {
 }
 
 TEST_F(ObsTest, EngineExecutionBumpsStrategyCounters) {
-  obs::Counter& queries =
-      obs::MetricsRegistry::Global().GetCounter("queries.swole");
-  obs::Histogram& latency =
-      obs::MetricsRegistry::Global().GetHistogram("query.latency_us.swole");
-  const int64_t queries_before = queries.value();
-  const int64_t latency_before = latency.count();
-  std::unique_ptr<Strategy> engine =
-      MakeStrategy(StrategyKind::kSwole, micro_->catalog, {});
-  ASSERT_TRUE(engine->Execute(ScalarPlan()).ok());
-  EXPECT_EQ(queries.value(), queries_before + 1);
-  EXPECT_EQ(latency.count(), latency_before + 1);
+  // Every entry point counts each admitted call once in queries.<engine>
+  // and once in query.latency_us.<engine>: on success, on a structured
+  // failure, and across SWOLE's budget degradation (one sample that covers
+  // the retry). A shed call is counted in neither.
+  struct EntryPoint {
+    std::string engine;
+    // Runs `plan` under `ctx` (null = ungoverned).
+    std::function<Result<QueryResult>(const QueryPlan&, QueryContext*)> run;
+  };
+  std::vector<EntryPoint> entries;
+  for (StrategyKind kind : kAllStrategies) {
+    entries.push_back(
+        {StrategyKindName(kind),
+         [kind](const QueryPlan& plan, QueryContext* ctx) {
+           StrategyOptions options;
+           options.query_ctx = ctx;
+           return MakeStrategy(kind, micro_->catalog, options)->Execute(plan);
+         }});
+  }
+  entries.push_back({"reference",
+                     [](const QueryPlan& plan, QueryContext* ctx) {
+                       ReferenceEngine reference(micro_->catalog);
+                       reference.set_query_context(ctx);
+                       return reference.Execute(plan);
+                     }});
+  // ExecuteWithFallback takes no context; a trace makes it own one. The
+  // armed compile fault sends it to the interpreted engine uncompiled.
+  entries.push_back({"jit", [](const QueryPlan& plan, QueryContext* ctx) {
+                       FaultInjector::Global().SetFault("jit_compile", 1.0);
+                       obs::QueryTrace trace;
+                       GeneratorOptions gen_options;
+                       gen_options.strategy = StrategyKind::kSwole;
+                       if (ctx != nullptr) gen_options.trace = &trace;
+                       JitOptions jit;
+                       jit.use_cache = false;
+                       ExecutionReport report;
+                       Result<QueryResult> result =
+                           codegen::ExecuteWithFallback(
+                               plan, micro_->catalog, gen_options, jit,
+                               &report);
+                       EXPECT_FALSE(report.used_jit);
+                       return result;
+                     }});
 
-  obs::Counter& runs =
-      obs::MetricsRegistry::Global().GetCounter("scheduler.runs");
+  struct Case {
+    const char* name;
+    const char* fault;  // armed for the call; null = none
+    bool governed;
+    bool counted;
+    StatusCode code;
+  };
+  const Case kCases[] = {
+      {"success", nullptr, false, true, StatusCode::kOk},
+      {"deadline", "deadline_fire", true, true,
+       StatusCode::kDeadlineExceeded},
+      {"shed", "admission_reject", false, false,
+       StatusCode::kAdmissionRejected},
+  };
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  for (const EntryPoint& entry : entries) {
+    obs::Counter& queries = registry.GetCounter("queries." + entry.engine);
+    obs::Histogram& latency =
+        registry.GetHistogram("query.latency_us." + entry.engine);
+    for (const Case& c : kCases) {
+      SCOPED_TRACE(entry.engine + " " + c.name);
+      FaultInjector::Global().ClearAll();
+      if (c.fault != nullptr) FaultInjector::Global().SetFault(c.fault, 1.0);
+      const int64_t queries_before = queries.value();
+      const int64_t latency_before = latency.count();
+      QueryContext ctx;
+      Result<QueryResult> result =
+          entry.run(ScalarPlan(), c.governed ? &ctx : nullptr);
+      FaultInjector::Global().ClearAll();
+      EXPECT_EQ(result.status().code(), c.code) << result.status().ToString();
+      const int64_t expected = c.counted ? 1 : 0;
+      EXPECT_EQ(queries.value(), queries_before + expected);
+      EXPECT_EQ(latency.count(), latency_before + expected);
+    }
+  }
+
+  // SWOLE's budget degradation: the refused bitmap breaches the pullup
+  // plan, the data-centric retry serves it, and SWOLE's one sample spans
+  // both attempts while the retry counts as one data-centric query.
+  obs::Counter& swole_queries = registry.GetCounter("queries.swole");
+  obs::Histogram& swole_latency =
+      registry.GetHistogram("query.latency_us.swole");
+  obs::Counter& lean_queries = registry.GetCounter("queries.data-centric");
+  const int64_t swole_before = swole_queries.value();
+  const int64_t swole_latency_before = swole_latency.count();
+  const int64_t lean_before = lean_queries.value();
+  FaultInjector::Global().SetFault("dim_bitmap", 1.0);
+  QueryContext ctx;
+  StrategyOptions options;
+  options.query_ctx = &ctx;
+  Result<QueryResult> degraded =
+      MakeStrategy(StrategyKind::kSwole, micro_->catalog, options)
+          ->Execute(JoinPlan());
+  FaultInjector::Global().ClearAll();
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  EXPECT_EQ(ctx.degradations(), 1);
+  EXPECT_EQ(swole_queries.value(), swole_before + 1);
+  EXPECT_EQ(swole_latency.count(), swole_latency_before + 1);
+  EXPECT_EQ(lean_queries.value(), lean_before + 1);
+
+  obs::Counter& runs = registry.GetCounter("scheduler.runs");
   EXPECT_GT(runs.value(), 0);
 }
 

@@ -22,6 +22,7 @@
 #include <random>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "codegen/generator.h"
@@ -567,6 +568,20 @@ TEST_F(StringPlacementTest, SwoleDecisionsRecordThePullup) {
   ASSERT_TRUE(engine->Execute(MicroQ6(false, 95)).ok());
   EXPECT_FALSE(engine->last_decisions().used_string_pullup)
       << engine->last_decisions().rationale;
+
+  // One engine, one plan, the mode flipped push -> pull -> push -> auto:
+  // the analysis cache keys on the mode, so each run takes its own mode's
+  // decision and the third is served by the first run's entry.
+  auto flipping = MakeSwoleStrategy(data_->catalog);
+  const QueryPlan plan = MicroQ6(false, 5);
+  const std::pair<const char*, bool> kRuns[] = {
+      {"push", false}, {"pull", true}, {"push", false}, {"auto", true}};
+  for (const auto& [mode, pulled] : kRuns) {
+    PlacementGuard::Force(mode);
+    ASSERT_TRUE(flipping->Execute(plan).ok()) << mode;
+    EXPECT_EQ(flipping->last_decisions().used_string_pullup, pulled)
+        << mode << ": " << flipping->last_decisions().rationale;
+  }
 }
 
 // ---- Query-level bit-exactness ----

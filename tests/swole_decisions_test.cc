@@ -7,10 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "common/string_util.h"
-#include "cost/feedback.h"
 #include "engine/reference_engine.h"
 #include "micro/micro.h"
 #include "strategies/swole.h"
@@ -137,86 +134,6 @@ TEST_F(SwoleDecisionsTest, ForcedChoicesOverrideTheModel) {
       micro_->catalog,
       MicroQ2(micro_->c_columns[0], micro_->c_actual[0], 50), km);
   EXPECT_EQ(d.aggregation, "key-masking");
-}
-
-TEST_F(SwoleDecisionsTest, RefitProfilesStayThreadInvariantAndBitExact) {
-  // Under SWOLE_COST_REFIT=apply with forced refit states — including ones
-  // extreme enough to overturn techniques — the chosen aggregation must not
-  // depend on the thread count (re-decisions consume thread-invariant
-  // bitmap popcounts), and every choice must produce the reference answer.
-  struct RefitState {
-    double bandwidth;
-    double memory;
-  };
-  const RefitState kStates[] = {{1.0, 1.0}, {4.0, 0.25}, {0.25, 4.0}};
-
-  cost::SetRefitModeForTest(cost::RefitMode::kApply);
-  ReferenceEngine oracle(micro_->catalog);
-  std::vector<QueryPlan> plans;
-  plans.push_back(MicroQ1(false, 50));
-  plans.push_back(MicroQ2(micro_->c_columns[1], micro_->c_actual[1], 40));
-  plans.push_back(MicroQ4(false, 60, 40));
-  plans.push_back(MicroQ5(false, 50, micro_->config.s_small_rows));
-
-  for (const RefitState& state : kStates) {
-    for (const QueryPlan& plan : plans) {
-      SCOPED_TRACE(StringFormat("%s bw=%.2f mem=%.2f", plan.name.c_str(),
-                                state.bandwidth, state.memory));
-      Result<QueryResult> expected = oracle.Execute(plan);
-      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-
-      std::optional<std::string> agreed_choice;
-      for (int threads : {1, 2, 8}) {
-        cost::CostFeedback::Global().Reset();
-        cost::CostFeedback::Global().ForceStateForTest(state.bandwidth,
-                                                       state.memory);
-        StrategyOptions options;
-        options.num_threads = threads;
-        std::unique_ptr<SwoleStrategy> engine =
-            MakeSwoleStrategy(micro_->catalog, options);
-        Result<QueryResult> actual = engine->Execute(plan);
-        ASSERT_TRUE(actual.ok()) << actual.status().ToString();
-        if (!agreed_choice.has_value()) {
-          agreed_choice = engine->last_decisions().aggregation;
-        } else {
-          EXPECT_EQ(engine->last_decisions().aggregation, *agreed_choice)
-              << "at " << threads << " threads";
-        }
-        ASSERT_EQ(*actual, *expected)
-            << "at " << threads << " threads\nexpected:\n"
-            << expected->ToString() << "actual:\n"
-            << actual->ToString();
-      }
-    }
-  }
-  cost::CostFeedback::Global().Reset();
-  cost::SetRefitModeForTest(cost::RefitMode::kOff);
-}
-
-TEST_F(SwoleDecisionsTest, ExtremeRefitStatesCanMoveTheDecision) {
-  // The refit has to be able to change something, or the re-decision
-  // machinery is dead code: an extreme memory penalty pushes a grouped
-  // query off its hash-table-hungry choice.
-  cost::SetRefitModeForTest(cost::RefitMode::kApply);
-  QueryPlan plan = MicroQ2(micro_->c_columns[1], micro_->c_actual[1], 40);
-
-  cost::CostFeedback::Global().ForceStateForTest(1.0, 1.0);
-  SwoleDecisions neutral = Decide(micro_->catalog, plan);
-  cost::CostFeedback::Global().ForceStateForTest(4.0, 0.25);
-  SwoleDecisions cheap_memory = Decide(micro_->catalog, plan);
-  cost::CostFeedback::Global().ForceStateForTest(0.25, 4.0);
-  SwoleDecisions dear_memory = Decide(micro_->catalog, plan);
-
-  // All three are valid techniques; at least one extreme must diverge from
-  // the neutral state for this plan, whose VM/KM margin is thin.
-  EXPECT_TRUE(cheap_memory.aggregation != neutral.aggregation ||
-              dear_memory.aggregation != neutral.aggregation)
-      << "neutral=" << neutral.aggregation
-      << " cheap=" << cheap_memory.aggregation
-      << " dear=" << dear_memory.aggregation;
-
-  cost::CostFeedback::Global().Reset();
-  cost::SetRefitModeForTest(cost::RefitMode::kOff);
 }
 
 TEST_F(SwoleDecisionsTest, DecisionsAreStableAcrossRepeatedExecutions) {
