@@ -1,4 +1,4 @@
-// String kernel throughput (scalar vs SWAR vs AVX2) and end-to-end
+// String kernel throughput (scalar vs AVX2) and end-to-end
 // pushed-vs-pulled placement rows.
 //
 // Kernel rows — `strings/<primitive>/<backend>/len:<avg>` — stream one
@@ -12,8 +12,10 @@
 // with the placement forced via SWOLE_STR_PLACEMENT, sweeping the dim
 // selectivity across the cost model's flip point (~44%).
 //
-// Record a baseline with:
-//   ./bench/string_bench --benchmark_format=json > BENCH_strings.json
+// Record a baseline with (one command line):
+//   ./bench/string_bench --benchmark_repetitions=5
+//     --benchmark_enable_random_interleaving=true
+//     --benchmark_format=json > BENCH_strings.json
 
 #include <benchmark/benchmark.h>
 
@@ -111,7 +113,7 @@ void RegisterStringRow(const std::string& prim, Backend backend, int64_t avg,
 }
 
 void RegisterKernelRows() {
-  std::vector<Backend> backends = {Backend::kScalar, Backend::kSwar};
+  std::vector<Backend> backends = {Backend::kScalar};
   if (simd::CpuHasAvx2()) backends.push_back(Backend::kAvx2);
   static std::vector<uint8_t> out(kRows);
   static std::vector<uint64_t> hashes(kRows);

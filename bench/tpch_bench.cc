@@ -10,7 +10,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "exec/kernels.h"
 #include "tpch/dbgen.h"
 #include "tpch/queries.h"
 
@@ -31,36 +30,6 @@ void RegisterAll(const tpch::TpchData& data) {
           StringFormat("fig6_tpch/%s/%s", kNames[q], StrategyKindName(kind)),
           data.catalog, kind, std::move(plan));
     }
-  }
-
-  // Q1 under the SWOLE_WIDEN escape hatch: every narrow lineitem read
-  // inflates to int64 first. The Q1/swole row above divided by this one is
-  // the end-to-end payoff of native-width execution on the paper's
-  // aggregation-heaviest query.
-  {
-    QueryPlan plan = std::move(tpch::AllQueries(data.catalog)[0]);
-    bench::PlanPool().push_back(
-        std::make_unique<QueryPlan>(std::move(plan)));
-    bench::EnginePool().push_back(
-        MakeStrategy(StrategyKind::kSwole, data.catalog, {}));
-    const QueryPlan* plan_ptr = bench::PlanPool().back().get();
-    Strategy* engine = bench::EnginePool().back().get();
-    benchmark::RegisterBenchmark(
-        "fig6_tpch/Q1_widened/swole",
-        [plan_ptr, engine](benchmark::State& state) {
-          bool prev = kernels::WidenEnabled();
-          kernels::SetWidenMode(true);
-          int64_t checksum = 0;
-          for (auto _ : state) {
-            Result<QueryResult> result = engine->Execute(*plan_ptr);
-            result.status().CheckOK();
-            checksum ^=
-                result->grouped ? result->NumGroups() : result->scalar[0];
-            benchmark::DoNotOptimize(checksum);
-          }
-          kernels::SetWidenMode(prev);
-        })
-        ->Unit(benchmark::kMillisecond);
   }
 }
 

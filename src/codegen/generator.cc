@@ -791,8 +791,8 @@ Result<GeneratedKernel> GenerateKernel(const QueryPlan& plan,
       }
     } else {
       // Selection vector via the dispatched no-branch kernel (Fig. 1
-      // middle); the SWAR/AVX2 tiers pack the mask a word / movemask at a
-      // time with bit-identical output.
+      // middle); the AVX2 tier packs the mask a movemask at a time with
+      // bit-identical output.
       body.Line(
           "int32_t n = swole::kernels::SelVecFromCmpNoBranch(cmp, len, "
           "idx);");
@@ -901,7 +901,7 @@ Result<GeneratedKernel> GenerateKernel(const QueryPlan& plan,
     slots.EmitLikeStatics(&unit);
     unit.Line("");
   }
-  unit.Line("// Host ABI (mirror of swole::codegen::KernelIO, ABI v5).");
+  unit.Line("// Host ABI (mirror of swole::codegen::KernelIO, ABI v6).");
   unit.Open("struct SwoleKernelIO {");
   unit.Line("const void* const* columns;");
   unit.Line("const int64_t* table_rows;");
@@ -913,8 +913,6 @@ Result<GeneratedKernel> GenerateKernel(const QueryPlan& plan,
   unit.Line("void* governor;");
   unit.Line("int (*mem_charge)(void* ctx, int64_t delta, const char* site);");
   unit.Line("int (*cancel_check)(void* ctx);");
-  unit.Line("// Nonzero forces the legacy widening path (SWOLE_WIDEN).");
-  unit.Line("int64_t widen;");
   unit.Line("// Raw-text slots (ABI v5): byte arena + offsets per slot.");
   unit.Line("const void* const* text_bytes;");
   unit.Line("const uint32_t* const* text_offsets;");
@@ -954,10 +952,6 @@ Result<GeneratedKernel> GenerateKernel(const QueryPlan& plan,
 
   unit.Open(StringFormat("extern \"C\" void* %s(const SwoleKernelIO* io) {",
                          kBuildEntryPoint));
-  // The dlopened image carries its own copy of the inline widen flag;
-  // sync it from the host before any kernel runs (build runs exactly once
-  // per execution, including on cache hits).
-  unit.Line("swole::kernels::SetWidenMode(io->widen != 0);");
   slots.EmitDeclarations(&unit);
   if (shared_args.empty()) {
     unit.Line("auto* shared = new SwoleSharedState();");

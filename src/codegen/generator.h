@@ -43,8 +43,8 @@
 
 namespace swole::codegen {
 
-/// ABI between the host and a generated kernel. All column pointers are
-/// raw physical arrays in slot order (see GeneratedKernel::column_slots).
+/// ABI between the host and a generated kernel (v6). All column pointers
+/// are raw physical arrays in slot order (see GeneratedKernel::column_slots).
 struct KernelIO {
   const void* const* columns = nullptr;   // one per column slot
   const int64_t* table_rows = nullptr;    // one per table slot
@@ -64,13 +64,6 @@ struct KernelIO {
   void* governor = nullptr;
   int (*mem_charge)(void* ctx, int64_t delta, const char* site) = nullptr;
   int (*cancel_check)(void* ctx) = nullptr;
-  // ---- Native-width execution (ABI v4) ----
-  // Nonzero forces the legacy widening path inside the kernel image
-  // (kernels::SetWidenMode synced by swole_kernel_build): the dlopened
-  // unit has its own copy of the inline flag, so the host mirrors
-  // kernels::WidenEnabled() here on every run. Always emitted, so kernel
-  // source and cache keys are identical in both modes.
-  int64_t widen = 0;
   // ---- Raw text columns (ABI v5) ----
   // One entry per text slot (GeneratedKernel::text_slots_table/column):
   // the StringColumn's byte arena and its rows+1 offset array. Plans

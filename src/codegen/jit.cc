@@ -16,7 +16,6 @@
 #include "common/string_util.h"
 #include "common/subprocess.h"
 #include "engine/reference_engine.h"
-#include "exec/kernels.h"
 #include "exec/query_context.h"
 #include "exec/scheduler.h"
 #include "obs/trace.h"
@@ -452,9 +451,6 @@ Result<QueryResult> CompiledKernel::Run(const Catalog& catalog,
     auto* emit = static_cast<EmitContext*>(ctx);
     emit->result->AddGroup(key, aggs);
   };
-  // ABI v4: mirror the host's widening mode into the kernel image (the
-  // dlopened unit has its own copy of the inline flag).
-  io.widen = kernels::WidenEnabled() ? 1 : 0;
   // ABI v5: raw-text arenas (empty for plans without string predicates).
   io.text_bytes = text_bytes.data();
   io.text_offsets = text_offsets.data();

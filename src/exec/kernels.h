@@ -1,13 +1,7 @@
 #ifndef SWOLE_EXEC_KERNELS_H_
 #define SWOLE_EXEC_KERNELS_H_
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <type_traits>
-
-#include <string_view>
 
 #include "common/macros.h"
 #include "exec/simd.h"
@@ -19,7 +13,7 @@
 // that both the strategy engines and the JIT-generated translation units
 // instantiate them with concrete column types. The hot branch-free
 // primitives route through the runtime-dispatched backends in exec/simd.h
-// (scalar / SWAR / AVX2, selected once at startup, `SWOLE_SIMD` override);
+// (scalar / AVX2, selected once at startup, `SWOLE_SIMD` override);
 // the deliberately *branching* kernels below stay scalar because branching
 // is the behavior they exist to measure (data-centric strategy, Fig. 8).
 //
@@ -42,111 +36,26 @@ namespace internal {
 using simd::detail::Cmp;
 }  // namespace internal
 
-// ---- SWOLE_WIDEN escape hatch (legacy widening execution) ----
-//
-// When enabled, every simd-routed primitive below first inflates its narrow
-// operands into thread-local int64 scratch tiles and then runs the int64
-// kernels — the pre-native-width behavior, kept as a correctness oracle and
-// an A/B baseline for the benches. Per-element widening is exact and int64
-// arithmetic wraps mod 2^64 identically on both paths, so results stay
-// bit-identical to native-width execution. The flag lives here (not in a
-// .cc) because JIT-generated translation units include only this header and
-// link nothing but logging: each dlopened kernel image gets its own copy,
-// synced from the host through the KernelIO.widen field at build time.
-
-namespace widen_detail {
-
-inline constexpr int64_t kScratchLen = 1024;
-
-struct Scratch {
-  int64_t a[kScratchLen];
-  int64_t b[kScratchLen];
-};
-
-inline Scratch& TlsScratch() {
-  thread_local Scratch s;
-  return s;
-}
-
-inline bool InitFromEnv() {
-  const char* v = std::getenv("SWOLE_WIDEN");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
-inline std::atomic<bool>& Flag() {
-  static std::atomic<bool> flag{InitFromEnv()};
-  return flag;
-}
-
-}  // namespace widen_detail
-
-/// True when the legacy widening path is forced (SWOLE_WIDEN=1 or
-/// SetWidenMode(true)).
-inline bool WidenEnabled() {
-  return widen_detail::Flag().load(std::memory_order_relaxed);
-}
-
-/// Flips the widening escape hatch at runtime (tests, benches, and the
-/// JIT build entry syncing a kernel image with the host).
-inline void SetWidenMode(bool on) {
-  widen_detail::Flag().store(on, std::memory_order_relaxed);
-}
+// The dispatched primitives are the simd:: entry points themselves; the
+// using-declarations below put them in this namespace, so the engines and
+// the generated code call `kernels::X` for every kernel alike.
 
 /// Prepass comparison against a literal: out[j] = col[j] OP lit (0/1).
 /// Branch-free; this is the SIMD-friendly "prepass" loop of the hybrid
 /// strategy (Fig. 1 middle).
-template <typename T>
-void CompareLit(CmpOp op, const T* col, int64_t lit, uint8_t* out,
-                int64_t len) {
-  if constexpr (!std::is_same_v<T, int64_t>) {
-    if (SWOLE_UNLIKELY(WidenEnabled())) {
-      auto& s = widen_detail::TlsScratch();
-      for (int64_t base = 0; base < len; base += widen_detail::kScratchLen) {
-        const int64_t n = std::min(widen_detail::kScratchLen, len - base);
-        for (int64_t i = 0; i < n; ++i) {
-          s.a[i] = static_cast<int64_t>(col[base + i]);
-        }
-        simd::CompareLit<int64_t>(op, s.a, lit, out + base, n);
-      }
-      return;
-    }
-  }
-  simd::CompareLit<T>(op, col, lit, out, len);
-}
+using simd::CompareLit;
 
 /// Prepass column-vs-column comparison (same physical type).
-template <typename T>
-void CompareCol(CmpOp op, const T* lhs, const T* rhs, uint8_t* out,
-                int64_t len) {
-  if constexpr (!std::is_same_v<T, int64_t>) {
-    if (SWOLE_UNLIKELY(WidenEnabled())) {
-      auto& s = widen_detail::TlsScratch();
-      for (int64_t base = 0; base < len; base += widen_detail::kScratchLen) {
-        const int64_t n = std::min(widen_detail::kScratchLen, len - base);
-        for (int64_t i = 0; i < n; ++i) {
-          s.a[i] = static_cast<int64_t>(lhs[base + i]);
-          s.b[i] = static_cast<int64_t>(rhs[base + i]);
-        }
-        simd::CompareCol<int64_t>(op, s.a, s.b, out + base, n);
-      }
-      return;
-    }
-  }
-  simd::CompareCol<T>(op, lhs, rhs, out, len);
-}
+using simd::CompareCol;
 
 /// out[j] &= other[j] — conjunction of prepass results.
-inline void AndBytes(uint8_t* out, const uint8_t* other, int64_t len) {
-  simd::AndBytes(out, other, len);
-}
+using simd::AndBytes;
 
 /// out[j] |= other[j].
-inline void OrBytes(uint8_t* out, const uint8_t* other, int64_t len) {
-  simd::OrBytes(out, other, len);
-}
+using simd::OrBytes;
 
 /// out[j] = 1 - out[j] (logical NOT of a 0/1 byte array).
-inline void NotBytes(uint8_t* out, int64_t len) { simd::NotBytes(out, len); }
+using simd::NotBytes;
 
 /// Dictionary-code predicate: out[j] = mask[col[j]] (e.g. LIKE evaluated
 /// once per dictionary entry, then a positional mask lookup per tuple).
@@ -174,7 +83,7 @@ inline int32_t SelVecFromCmpBranch(const uint8_t* SWOLE_RESTRICT cmp,
 
 /// No-branch (predicated) construction: `idx[n] = j; n += cmp[j]`.
 /// Replaces the control dependency with a data dependency [31]. Under the
-/// SWAR/AVX2 backends this and SelVecFromCmpLut unify into the packed
+/// AVX2 backend this and SelVecFromCmpLut unify into the packed
 /// movemask+LUT construction (bit-identical output).
 inline int32_t SelVecFromCmpNoBranch(const uint8_t* cmp, int64_t len,
                                      int32_t* idx) {
@@ -303,48 +212,10 @@ int64_t SumQuotientSel(const TA* SWOLE_RESTRICT a, const TB* SWOLE_RESTRICT b,
 
 /// Value masking (§III-A): sum_j col[j] * cmp[j]. Sequential access of
 /// `col`; wasted work on masked lanes, no conditional reads.
-template <typename T>
-int64_t SumMasked(const T* col, const uint8_t* cmp, int64_t len) {
-  if constexpr (!std::is_same_v<T, int64_t>) {
-    if (SWOLE_UNLIKELY(WidenEnabled())) {
-      auto& s = widen_detail::TlsScratch();
-      int64_t sum = 0;
-      for (int64_t base = 0; base < len; base += widen_detail::kScratchLen) {
-        const int64_t n = std::min(widen_detail::kScratchLen, len - base);
-        for (int64_t i = 0; i < n; ++i) {
-          s.a[i] = static_cast<int64_t>(col[base + i]);
-        }
-        sum += simd::SumMasked<int64_t>(s.a, cmp + base, n);
-      }
-      return sum;
-    }
-  }
-  return simd::SumMasked<T>(col, cmp, len);
-}
+using simd::SumMasked;
 
 /// Value masking of a product (Fig. 3): sum_j (a[j]*b[j]) * cmp[j].
-template <typename TA, typename TB>
-int64_t SumProductMasked(const TA* a, const TB* b, const uint8_t* cmp,
-                         int64_t len) {
-  if constexpr (!(std::is_same_v<TA, int64_t> &&
-                  std::is_same_v<TB, int64_t>)) {
-    if (SWOLE_UNLIKELY(WidenEnabled())) {
-      auto& s = widen_detail::TlsScratch();
-      int64_t sum = 0;
-      for (int64_t base = 0; base < len; base += widen_detail::kScratchLen) {
-        const int64_t n = std::min(widen_detail::kScratchLen, len - base);
-        for (int64_t i = 0; i < n; ++i) {
-          s.a[i] = static_cast<int64_t>(a[base + i]);
-          s.b[i] = static_cast<int64_t>(b[base + i]);
-        }
-        sum += simd::SumProductMasked<int64_t, int64_t>(s.a, s.b, cmp + base,
-                                                        n);
-      }
-      return sum;
-    }
-  }
-  return simd::SumProductMasked<TA, TB>(a, b, cmp, len);
-}
+using simd::SumProductMasked;
 
 /// Value-masked quotient: sum_j (a[j]/b[j]) * cmp[j]. Division happens for
 /// every lane — this is the "wasted work" that makes VM lose on
@@ -379,73 +250,20 @@ int64_t SumProductAll(const TA* SWOLE_RESTRICT a, const TB* SWOLE_RESTRICT b,
 }
 
 /// Number of set lanes in a cmp array (selectivity of a tile).
-inline int64_t CountBytes(const uint8_t* cmp, int64_t len) {
-  return simd::CountBytes(cmp, len);
-}
+using simd::CountBytes;
 
 /// Access merging (§III-C, Fig. 5): tmp[j] = col[j] * cmp[j] — the predicate
 /// result is folded into the value at first touch so the attribute is read
 /// exactly once.
-template <typename T>
-void MaskIntoTmp(const T* col, const uint8_t* cmp, int64_t len,
-                 int64_t* tmp) {
-  if constexpr (!std::is_same_v<T, int64_t>) {
-    if (SWOLE_UNLIKELY(WidenEnabled())) {
-      auto& s = widen_detail::TlsScratch();
-      for (int64_t base = 0; base < len; base += widen_detail::kScratchLen) {
-        const int64_t n = std::min(widen_detail::kScratchLen, len - base);
-        for (int64_t i = 0; i < n; ++i) {
-          s.a[i] = static_cast<int64_t>(col[base + i]);
-        }
-        simd::MaskIntoTmp<int64_t>(s.a, cmp + base, n, tmp + base);
-      }
-      return;
-    }
-  }
-  simd::MaskIntoTmp<T>(col, cmp, len, tmp);
-}
+using simd::MaskIntoTmp;
 
 /// Access merging with the comparison fused (Fig. 5 bottom, one access of x):
 /// tmp[j] = x[j] * (x[j] OP lit).
-template <typename T>
-void CompareLitMaskIntoTmp(CmpOp op, const T* col, int64_t lit, int64_t len,
-                           int64_t* tmp) {
-  if constexpr (!std::is_same_v<T, int64_t>) {
-    if (SWOLE_UNLIKELY(WidenEnabled())) {
-      auto& s = widen_detail::TlsScratch();
-      for (int64_t base = 0; base < len; base += widen_detail::kScratchLen) {
-        const int64_t n = std::min(widen_detail::kScratchLen, len - base);
-        for (int64_t i = 0; i < n; ++i) {
-          s.a[i] = static_cast<int64_t>(col[base + i]);
-        }
-        simd::CompareLitMaskIntoTmp<int64_t>(op, s.a, lit, n, tmp + base);
-      }
-      return;
-    }
-  }
-  simd::CompareLitMaskIntoTmp<T>(op, col, lit, len, tmp);
-}
+using simd::CompareLitMaskIntoTmp;
 
 /// Key masking key production (§III-B, Fig. 4 bottom):
 /// key[j] = cmp[j] ? c[j] : null_key. Branch-free select.
-template <typename T>
-void MaskKeys(const T* col, const uint8_t* cmp, int64_t null_key, int64_t len,
-              int64_t* key) {
-  if constexpr (!std::is_same_v<T, int64_t>) {
-    if (SWOLE_UNLIKELY(WidenEnabled())) {
-      auto& s = widen_detail::TlsScratch();
-      for (int64_t base = 0; base < len; base += widen_detail::kScratchLen) {
-        const int64_t n = std::min(widen_detail::kScratchLen, len - base);
-        for (int64_t i = 0; i < n; ++i) {
-          s.a[i] = static_cast<int64_t>(col[base + i]);
-        }
-        simd::MaskKeys<int64_t>(s.a, cmp + base, null_key, n, key + base);
-      }
-      return;
-    }
-  }
-  simd::MaskKeys<T>(col, cmp, null_key, len, key);
-}
+using simd::MaskKeys;
 
 /// Software prefetch helper (ROF §II-A.3): hints the cache line of `addr`.
 SWOLE_ALWAYS_INLINE void PrefetchRead(const void* addr) {
@@ -455,77 +273,35 @@ SWOLE_ALWAYS_INLINE void PrefetchRead(const void* addr) {
 // ---- String kernels (raw arena columns, exec/simd_string.h) ----
 //
 // Same routing contract as the numeric primitives: strategy engines and
-// JIT translation units call these wrappers, the wrappers call the
-// runtime-dispatched simd:: entry points. Strings have no widened legacy
-// path, so SWOLE_WIDEN does not apply here.
+// JIT translation units call the runtime-dispatched simd:: entry points
+// through these names.
 
 using simd::CompiledLike;
 using simd::CompileLike;
 
 /// Prepass LIKE over a tile of arena rows: out[j] = row matches (0/1).
 /// The pushed-placement loop — bytes stream sequentially.
-inline void StrLikeTile(const uint8_t* bytes, const uint32_t* offsets,
-                        int64_t start, int64_t len, const CompiledLike& lk,
-                        uint8_t* out) {
-  simd::StrLikeTile(bytes, offsets, start, len, lk, out);
-}
+using simd::StrLikeTile;
 
 /// Guarded LIKE refine: cmp[j] &= row matches, skipping dead lanes. The
 /// pulled-placement loop — only survivors touch the arena.
-inline void StrLikeTileAnd(const uint8_t* bytes, const uint32_t* offsets,
-                           int64_t start, int64_t len, const CompiledLike& lk,
-                           uint8_t* cmp) {
-  simd::StrLikeTileAnd(bytes, offsets, start, len, lk, cmp);
-}
+using simd::StrLikeTileAnd;
 
 /// Single-row compiled LIKE (data-centric emission, reference engine).
-inline bool StrLikeOne(const uint8_t* bytes, const uint32_t* offsets,
-                       int64_t row, const CompiledLike& lk) {
-  return simd::StrLikeOne(bytes, offsets, row, lk);
-}
+using simd::StrLikeOne;
 
 /// String equality / ordering / prefix / suffix / substring prepasses.
-inline void StrEqLit(const uint8_t* bytes, const uint32_t* offsets,
-                     int64_t start, int64_t len, std::string_view lit,
-                     uint8_t* out) {
-  simd::StrEqLit(bytes, offsets, start, len, lit, out);
-}
-
-inline void StrCmpLit(CmpOp op, const uint8_t* bytes, const uint32_t* offsets,
-                      int64_t start, int64_t len, std::string_view lit,
-                      uint8_t* out) {
-  simd::StrCmpLit(op, bytes, offsets, start, len, lit, out);
-}
-
-inline void StrPrefix(const uint8_t* bytes, const uint32_t* offsets,
-                      int64_t start, int64_t len, std::string_view prefix,
-                      uint8_t* out) {
-  simd::StrPrefix(bytes, offsets, start, len, prefix, out);
-}
-
-inline void StrSuffix(const uint8_t* bytes, const uint32_t* offsets,
-                      int64_t start, int64_t len, std::string_view suffix,
-                      uint8_t* out) {
-  simd::StrSuffix(bytes, offsets, start, len, suffix, out);
-}
-
-inline void StrContains(const uint8_t* bytes, const uint32_t* offsets,
-                        int64_t start, int64_t len, std::string_view needle,
-                        uint8_t* out) {
-  simd::StrContains(bytes, offsets, start, len, needle, out);
-}
+using simd::StrCmpLit;
+using simd::StrContains;
+using simd::StrEqLit;
+using simd::StrPrefix;
+using simd::StrSuffix;
 
 /// Dispatched memmem; -1 when absent.
-inline int64_t StrFindFirst(const uint8_t* hay, int64_t hlen,
-                            const uint8_t* needle, int64_t nlen) {
-  return simd::StrFindFirst(hay, hlen, needle, nlen);
-}
+using simd::StrFindFirst;
 
 /// Per-row FNV-1a hashes over a tile (build-side string keys).
-inline void StrHashTile(const uint8_t* bytes, const uint32_t* offsets,
-                        int64_t start, int64_t len, uint64_t* out) {
-  simd::StrHashTile(bytes, offsets, start, len, out);
-}
+using simd::StrHashTile;
 
 }  // namespace swole::kernels
 

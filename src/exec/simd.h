@@ -14,31 +14,27 @@
 #include "common/macros.h"
 
 // Explicitly vectorized backends for the hot primitive kernels, behind
-// runtime CPU dispatch. Three tiers:
+// runtime CPU dispatch. Two tiers:
 //
-//  * kScalar — the plain loops the paper describes; whatever the compiler
-//    auto-vectorizes at the baseline ISA. This is the reference semantics.
-//  * kSwar   — SIMD-within-a-register on plain uint64_t words (the
-//    StringZilla-style portable fallback): word-wide byte-mask algebra,
-//    population counts, multiply-packed selection-vector bitmasks, and
-//    byte-wise equality. Primitives with no profitable word trick fall
-//    through to the scalar loops.
+//  * kScalar — the plain loops the paper describes, written so the compiler
+//    auto-vectorizes them at the baseline ISA. This is the reference
+//    semantics and the fallback on every host without AVX2.
 //  * kAvx2   — 256-bit intrinsics compiled via per-function
 //    `__attribute__((target("avx2")))`, so the translation unit itself
 //    needs no -march flags and the binary stays portable.
 //
 // The backend is selected once, on first use, from CPUID
-// (__builtin_cpu_supports) with an `SWOLE_SIMD=avx2|swar|scalar` env
-// override for A/B measurement; SetBackend() re-pins it programmatically
-// (tests, benches). Requests for an unsupported tier clamp down.
+// (__builtin_cpu_supports) with an `SWOLE_SIMD=avx2|scalar` env override
+// for A/B measurement; SetBackend() re-pins it programmatically (tests,
+// benches). A request for AVX2 on a host without it clamps down to scalar.
 //
-// Bit-exactness contract: for every primitive and every input the three
+// Bit-exactness contract: for every primitive and every input the two
 // backends return byte-identical results. Mask (`cmp`) arrays hold 0/1
-// bytes — the library-wide convention (kernels.h) — and the SWAR/AVX2
-// tiers rely on it where noted. All integer arithmetic is two's-complement
-// wrap, and int64 addition is associative, so lane-reordered reductions
-// are still bit-exact; combined with PR 2's worker-order merges, query
-// results are identical across backends at every thread count.
+// bytes — the library-wide convention (kernels.h) — and both tiers rely on
+// it where noted. All integer arithmetic is two's-complement wrap, and
+// int64 addition is associative, so lane-reordered reductions are still
+// bit-exact; combined with the engines' worker-order merges, query results
+// are identical across backends at every thread count.
 //
 // This header is self-contained (no .cc file) so that JIT-generated
 // translation units — which include exec/kernels.h and link nothing but
@@ -71,14 +67,12 @@ namespace swole::simd {
 
 enum class CmpOp : uint8_t { kLt, kLe, kGt, kGe, kEq, kNe };
 
-enum class Backend : uint8_t { kScalar = 0, kSwar = 1, kAvx2 = 2 };
+enum class Backend : uint8_t { kScalar = 0, kAvx2 = 1 };
 
 inline const char* BackendName(Backend b) {
   switch (b) {
     case Backend::kScalar:
       return "scalar";
-    case Backend::kSwar:
-      return "swar";
     case Backend::kAvx2:
       return "avx2";
   }
@@ -95,8 +89,8 @@ inline bool CpuHasAvx2() {
 
 namespace detail {
 
-template <CmpOp op>
-SWOLE_ALWAYS_INLINE bool Cmp(int64_t lhs, int64_t rhs) {
+template <CmpOp op, typename T>
+SWOLE_ALWAYS_INLINE bool Cmp(T lhs, T rhs) {
   if constexpr (op == CmpOp::kLt) return lhs < rhs;
   if constexpr (op == CmpOp::kLe) return lhs <= rhs;
   if constexpr (op == CmpOp::kGt) return lhs > rhs;
@@ -186,55 +180,78 @@ constexpr SelPosTables BuildSelPos() {
 }
 inline constexpr SelPosTables kSelPos = BuildSelPos();
 
-/// Same, keyed by the *bit-reversed* mask the SWAR multiply pack produces
-/// (bit 7-j of the packed byte corresponds to lane j).
-constexpr SelPosTables BuildSelPosRev() {
-  SelPosTables t{};
-  for (int m = 0; m < 256; ++m) {
-    uint8_t n = 0;
-    for (int b = 7; b >= 0; --b) {
-      if (m & (1 << b)) t.pos[m][n++] = 7 - b;
-    }
-    t.cnt[m] = n;
-    for (int k = n; k < 8; ++k) t.pos[m][k] = 0;
+SWOLE_ALWAYS_INLINE uint64_t LoadWord(const void* p) {
+  uint64_t w;
+  std::memcpy(&w, p, 8);
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);  // byte j of memory is always bits 8j..8j+7
   }
-  return t;
+  return w;
 }
-inline constexpr SelPosTables kSelPosRev = BuildSelPosRev();
+
+SWOLE_ALWAYS_INLINE void StoreWord(void* p, uint64_t w) {
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
+  }
+  std::memcpy(p, &w, 8);
+}
+
+/// Packs 8 mask bytes (0/1) into an 8-bit mask, bit j = byte j, with one
+/// multiply: byte j of the word times byte 7-j of the constant lands on
+/// bit 56+j, and every other partial product sits below bit 56 on its own
+/// bit or overflows past bit 63, so nothing carries into the top byte.
+SWOLE_ALWAYS_INLINE uint32_t PackMask8(const uint8_t* cmp) {
+  return static_cast<uint32_t>((LoadWord(cmp) * 0x0102040810204080ULL) >>
+                               56);
+}
 
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Scalar backend: the reference loops. Semantics of every other backend are
-// defined as "byte-identical to these".
+// Scalar backend: the reference loops and the portable fallback. The AVX2
+// backend's semantics are defined as "byte-identical to these".
 // ---------------------------------------------------------------------------
 
 namespace scalar {
 
+// The compares run at the column's physical width: T-vs-T lanes are one
+// packed compare per vector at the baseline ISA, where widening every lane
+// to int64 first kept the loop from vectorizing at narrow widths.
 template <typename T, CmpOp op>
-void CompareLitT(const T* SWOLE_RESTRICT col, int64_t lit,
+void CompareLitT(const T* SWOLE_RESTRICT col, T lit,
                  uint8_t* SWOLE_RESTRICT out, int64_t len) {
   for (int64_t j = 0; j < len; ++j) {
-    out[j] = detail::Cmp<op>(static_cast<int64_t>(col[j]), lit) ? 1 : 0;
+    out[j] = detail::Cmp<op>(col[j], lit) ? 1 : 0;
   }
 }
 
 template <typename T>
 void CompareLit(CmpOp op, const T* col, int64_t lit, uint8_t* out,
                 int64_t len) {
+  if constexpr (!std::is_same_v<T, int64_t>) {
+    if (lit < static_cast<int64_t>(std::numeric_limits<T>::min()) ||
+        lit > static_cast<int64_t>(std::numeric_limits<T>::max())) {
+      std::memset(out, detail::OutOfRangeResult(
+                           op, lit > static_cast<int64_t>(
+                                         std::numeric_limits<T>::max())),
+                  static_cast<size_t>(len));
+      return;
+    }
+  }
+  const T l = static_cast<T>(lit);
   switch (op) {
     case CmpOp::kLt:
-      return CompareLitT<T, CmpOp::kLt>(col, lit, out, len);
+      return CompareLitT<T, CmpOp::kLt>(col, l, out, len);
     case CmpOp::kLe:
-      return CompareLitT<T, CmpOp::kLe>(col, lit, out, len);
+      return CompareLitT<T, CmpOp::kLe>(col, l, out, len);
     case CmpOp::kGt:
-      return CompareLitT<T, CmpOp::kGt>(col, lit, out, len);
+      return CompareLitT<T, CmpOp::kGt>(col, l, out, len);
     case CmpOp::kGe:
-      return CompareLitT<T, CmpOp::kGe>(col, lit, out, len);
+      return CompareLitT<T, CmpOp::kGe>(col, l, out, len);
     case CmpOp::kEq:
-      return CompareLitT<T, CmpOp::kEq>(col, lit, out, len);
+      return CompareLitT<T, CmpOp::kEq>(col, l, out, len);
     case CmpOp::kNe:
-      return CompareLitT<T, CmpOp::kNe>(col, lit, out, len);
+      return CompareLitT<T, CmpOp::kNe>(col, l, out, len);
   }
 }
 
@@ -242,10 +259,7 @@ template <typename T, CmpOp op>
 void CompareColT(const T* SWOLE_RESTRICT lhs, const T* SWOLE_RESTRICT rhs,
                  uint8_t* SWOLE_RESTRICT out, int64_t len) {
   for (int64_t j = 0; j < len; ++j) {
-    out[j] = detail::Cmp<op>(static_cast<int64_t>(lhs[j]),
-                             static_cast<int64_t>(rhs[j]))
-                 ? 1
-                 : 0;
+    out[j] = detail::Cmp<op>(lhs[j], rhs[j]) ? 1 : 0;
   }
 }
 
@@ -282,9 +296,17 @@ inline void NotBytes(uint8_t* out, int64_t len) {
   for (int64_t j = 0; j < len; ++j) out[j] = 1 - out[j];
 }
 
+/// 0/1 mask bytes: up to 255 of them sum exactly in a uint8_t, so each
+/// block is a byte-wide add loop that vectorizes; only the block totals
+/// widen to int64.
 inline int64_t CountBytes(const uint8_t* cmp, int64_t len) {
   int64_t count = 0;
-  for (int64_t j = 0; j < len; ++j) count += cmp[j];
+  for (int64_t j = 0; j < len; j += 255) {
+    const int64_t n = std::min<int64_t>(255, len - j);
+    uint8_t block = 0;
+    for (int64_t k = 0; k < n; ++k) block += cmp[j + k];
+    count += block;
+  }
   return count;
 }
 
@@ -367,18 +389,19 @@ inline int32_t SelVecNoBranch(const uint8_t* SWOLE_RESTRICT cmp, int64_t len,
 }
 
 /// Data Blocks-style [32] LUT construction: packs 8 cmp bytes into a
-/// bitmask byte-by-byte, then appends the precomputed position list.
+/// bitmask with one multiply (detail::PackMask8), then stores the
+/// precomputed position list. The store is all 8 slots, a fixed-length
+/// loop that vectorizes; it stays below idx[len] because n <= j.
 inline int32_t SelVecLut(const uint8_t* cmp, int64_t len, int32_t* idx) {
   int32_t n = 0;
   int64_t j = 0;
   for (; j <= len - 8; j += 8) {
-    unsigned mask = 0;
-    for (int b = 0; b < 8; ++b) mask |= (cmp[j + b] & 1u) << b;
+    const uint32_t mask = detail::PackMask8(cmp + j);
     const int32_t base = static_cast<int32_t>(j);
-    const uint8_t cnt = detail::kSelPos.cnt[mask];
-    for (uint8_t k = 0; k < cnt; ++k) {
-      idx[n++] = base + detail::kSelPos.pos[mask][k];
+    for (int k = 0; k < 8; ++k) {
+      idx[n + k] = base + detail::kSelPos.pos[mask][k];
     }
+    n += detail::kSelPos.cnt[mask];
   }
   for (; j < len; ++j) {
     idx[n] = static_cast<int32_t>(j);
@@ -388,262 +411,6 @@ inline int32_t SelVecLut(const uint8_t* cmp, int64_t len, int32_t* idx) {
 }
 
 }  // namespace scalar
-
-// ---------------------------------------------------------------------------
-// SWAR backend: 64-bit lanes on plain uint64_t (portable fallback).
-// Accelerates the byte-mask algebra, population count, selection-vector
-// packing, and byte-wise equality; the remaining primitives have no
-// profitable word trick and fall through to the scalar loops.
-// ---------------------------------------------------------------------------
-
-namespace swar {
-
-inline constexpr uint64_t kOnes = 0x0101010101010101ULL;
-inline constexpr uint64_t kMsbs = 0x8080808080808080ULL;
-
-SWOLE_ALWAYS_INLINE uint64_t LoadWord(const void* p) {
-  uint64_t w;
-  std::memcpy(&w, p, 8);
-  return w;
-}
-
-SWOLE_ALWAYS_INLINE void StoreWord(void* p, uint64_t w) {
-  std::memcpy(p, &w, 8);
-}
-
-inline void AndBytes(uint8_t* SWOLE_RESTRICT out,
-                     const uint8_t* SWOLE_RESTRICT other, int64_t len) {
-  int64_t j = 0;
-  for (; j <= len - 8; j += 8) {
-    StoreWord(out + j, LoadWord(out + j) & LoadWord(other + j));
-  }
-  for (; j < len; ++j) out[j] &= other[j];
-}
-
-inline void OrBytes(uint8_t* SWOLE_RESTRICT out,
-                    const uint8_t* SWOLE_RESTRICT other, int64_t len) {
-  int64_t j = 0;
-  for (; j <= len - 8; j += 8) {
-    StoreWord(out + j, LoadWord(out + j) | LoadWord(other + j));
-  }
-  for (; j < len; ++j) out[j] |= other[j];
-}
-
-inline void NotBytes(uint8_t* out, int64_t len) {
-  // 0/1 mask bytes: 1 - x == x ^ 1 per byte, no borrows across lanes.
-  int64_t j = 0;
-  for (; j <= len - 8; j += 8) StoreWord(out + j, LoadWord(out + j) ^ kOnes);
-  for (; j < len; ++j) out[j] = 1 - out[j];
-}
-
-inline int64_t CountBytes(const uint8_t* cmp, int64_t len) {
-  // 0/1 mask bytes: the horizontal byte sum of a word is (w * kOnes) >> 56
-  // (sums of <= 8 never carry out of the top byte).
-  int64_t count = 0;
-  int64_t j = 0;
-  for (; j <= len - 8; j += 8) {
-    count += static_cast<int64_t>((LoadWord(cmp + j) * kOnes) >> 56);
-  }
-  for (; j < len; ++j) count += cmp[j];
-  return count;
-}
-
-/// Byte-wise equality over a word: 0x01 where the bytes of w are zero.
-/// The classic (w - kOnes) & ~w & kMsbs is only an "any zero byte" test —
-/// its subtraction borrows across byte lanes, so a zero byte can flag its
-/// upper neighbor. This form is per-byte exact: (w & 0x7f..) + 0x7f.. sets
-/// each byte's MSB iff its low 7 bits are nonzero and never carries out of
-/// the byte; OR-ing w itself folds the MSB back in, leaving the MSB clear
-/// exactly for zero bytes.
-SWOLE_ALWAYS_INLINE uint64_t ZeroBytesToOnes(uint64_t w) {
-  const uint64_t k7f = ~kMsbs;
-  return (~((((w & k7f) + k7f) | w) | k7f)) >> 7;
-}
-
-/// Per-byte unsigned x >= y, flagged in each byte's MSB. The low 7 bits
-/// compare through z = (x|MSB) - (y&~MSB): every minuend byte is >= 0x80
-/// and every subtrahend <= 0x7F, so no borrow crosses byte lanes and z's
-/// per-byte MSB is exactly [x_low7 >= y_low7]. Folding in the operands'
-/// own MSBs gives the full unsigned compare: x >= y iff x's MSB exceeds
-/// y's, or they match and the low halves compare >=.
-SWOLE_ALWAYS_INLINE uint64_t GeBytesMsb(uint64_t x, uint64_t y) {
-  const uint64_t z = (x | kMsbs) - (y & ~kMsbs);
-  return ((x & ~y) | (~(x ^ y) & z)) & kMsbs;
-}
-
-/// Word-wide int8 ordering: signed per-byte compare via the bias trick
-/// (flip both sign bits, compare unsigned). `out` gets 0/1 bytes of
-/// `col[j] OP lit` for the ordering ops; kGe/kLt read GeBytesMsb(x, lit),
-/// kLe/kGt read it with the operands swapped (x <= lit iff lit >= x),
-/// inverting where needed.
-SWOLE_ALWAYS_INLINE void CompareLitOrderI8(CmpOp op, const int8_t* col,
-                                           uint64_t pattern, uint8_t* out,
-                                           int64_t len, int64_t lit) {
-  const uint64_t biased_lit = pattern ^ kMsbs;
-  const bool swap = op == CmpOp::kLe || op == CmpOp::kGt;
-  const uint64_t inv = (op == CmpOp::kLt || op == CmpOp::kGt) ? kMsbs : 0;
-  int64_t j = 0;
-  for (; j <= len - 8; j += 8) {
-    const uint64_t x = LoadWord(col + j) ^ kMsbs;
-    const uint64_t ge = swap ? GeBytesMsb(biased_lit, x)
-                             : GeBytesMsb(x, biased_lit);
-    StoreWord(out + j, (ge ^ inv) >> 7);
-  }
-  for (; j < len; ++j) {
-    switch (op) {
-      case CmpOp::kLt:
-        out[j] = col[j] < lit ? 1 : 0;
-        break;
-      case CmpOp::kLe:
-        out[j] = col[j] <= lit ? 1 : 0;
-        break;
-      case CmpOp::kGt:
-        out[j] = col[j] > lit ? 1 : 0;
-        break;
-      default:
-        out[j] = col[j] >= lit ? 1 : 0;
-        break;
-    }
-  }
-}
-
-template <typename T>
-void CompareLit(CmpOp op, const T* col, int64_t lit, uint8_t* out,
-                int64_t len) {
-  if constexpr (std::is_same_v<T, int8_t>) {
-    if (lit < std::numeric_limits<int8_t>::min() ||
-        lit > std::numeric_limits<int8_t>::max()) {
-      std::memset(
-          out,
-          detail::OutOfRangeResult(
-              op, lit > std::numeric_limits<int8_t>::max()),
-          static_cast<size_t>(len));
-      return;
-    }
-    const uint64_t pattern =
-        kOnes * static_cast<uint8_t>(static_cast<int8_t>(lit));
-    if (op == CmpOp::kEq || op == CmpOp::kNe) {
-      const uint64_t flip = op == CmpOp::kNe ? kOnes : 0;
-      int64_t j = 0;
-      for (; j <= len - 8; j += 8) {
-        StoreWord(out + j, ZeroBytesToOnes(LoadWord(col + j) ^ pattern) ^
-                               flip);
-      }
-      for (; j < len; ++j) {
-        out[j] = (static_cast<int64_t>(col[j]) == lit) ==
-                         (op == CmpOp::kEq)
-                     ? 1
-                     : 0;
-      }
-      return;
-    }
-    CompareLitOrderI8(op, col, pattern, out, len, lit);
-    return;
-  }
-  scalar::CompareLit<T>(op, col, lit, out, len);
-}
-
-template <typename T>
-void CompareCol(CmpOp op, const T* lhs, const T* rhs, uint8_t* out,
-                int64_t len) {
-  if constexpr (std::is_same_v<T, int8_t>) {
-    if (op == CmpOp::kEq || op == CmpOp::kNe) {
-      const uint64_t flip = op == CmpOp::kNe ? kOnes : 0;
-      int64_t j = 0;
-      for (; j <= len - 8; j += 8) {
-        StoreWord(out + j,
-                  ZeroBytesToOnes(LoadWord(lhs + j) ^ LoadWord(rhs + j)) ^
-                      flip);
-      }
-      for (; j < len; ++j) {
-        out[j] = (lhs[j] == rhs[j]) == (op == CmpOp::kEq) ? 1 : 0;
-      }
-      return;
-    }
-    // Ordering: same bias trick as CompareLitOrderI8 with both sides
-    // loaded per word.
-    const bool swap = op == CmpOp::kLe || op == CmpOp::kGt;
-    const uint64_t inv = (op == CmpOp::kLt || op == CmpOp::kGt) ? kMsbs : 0;
-    int64_t j = 0;
-    for (; j <= len - 8; j += 8) {
-      const uint64_t x = LoadWord(lhs + j) ^ kMsbs;
-      const uint64_t y = LoadWord(rhs + j) ^ kMsbs;
-      const uint64_t ge = swap ? GeBytesMsb(y, x) : GeBytesMsb(x, y);
-      StoreWord(out + j, (ge ^ inv) >> 7);
-    }
-    for (; j < len; ++j) {
-      switch (op) {
-        case CmpOp::kLt:
-          out[j] = lhs[j] < rhs[j] ? 1 : 0;
-          break;
-        case CmpOp::kLe:
-          out[j] = lhs[j] <= rhs[j] ? 1 : 0;
-          break;
-        case CmpOp::kGt:
-          out[j] = lhs[j] > rhs[j] ? 1 : 0;
-          break;
-        default:
-          out[j] = lhs[j] >= rhs[j] ? 1 : 0;
-          break;
-      }
-    }
-    return;
-  }
-  scalar::CompareCol<T>(op, lhs, rhs, out, len);
-}
-
-/// Word-wide masked sum for int8 columns. The 0/1 mask bytes expand to
-/// 0x00/0xFF select bytes ((m * 0x7F) | (m << 7): both products are
-/// byte-aligned, no carries), the selected bytes sum unsigned via two
-/// carry-free folds, and a signed correction subtracts 256 for every
-/// selected negative byte (its unsigned value overcounts by exactly 256).
-template <typename T>
-int64_t SumMasked(const T* SWOLE_RESTRICT col,
-                  const uint8_t* SWOLE_RESTRICT cmp, int64_t len) {
-  if constexpr (std::is_same_v<T, int8_t>) {
-    constexpr uint64_t k00ff = 0x00FF00FF00FF00FFULL;
-    int64_t sum = 0;
-    int64_t j = 0;
-    for (; j <= len - 8; j += 8) {
-      const uint64_t m = LoadWord(cmp + j);
-      const uint64_t full = (m * 0x7F) | (m << 7);
-      const uint64_t v = LoadWord(col + j) & full;
-      const uint64_t pairs = (v & k00ff) + ((v >> 8) & k00ff);
-      const uint64_t usum = (pairs * 0x0001000100010001ULL) >> 48;
-      sum += static_cast<int64_t>(usum) -
-             256 * std::popcount(v & kMsbs);
-    }
-    for (; j < len; ++j) sum += static_cast<int64_t>(col[j]) * cmp[j];
-    return sum;
-  } else {
-    return scalar::SumMasked<T>(col, cmp, len);
-  }
-}
-
-/// Word-at-a-time selection-vector construction: packs 8 cmp bytes into a
-/// bitmask with one multiply. For 0/1 bytes, (w * 0x8040...01) >> 56 is the
-/// bit-reversed lane mask with no cross-byte carries (partial sums stay
-/// < 256), so the bit-reversed position table recovers ascending order.
-inline int32_t SelVecFromCmp(const uint8_t* SWOLE_RESTRICT cmp, int64_t len,
-                             int32_t* SWOLE_RESTRICT idx) {
-  int32_t n = 0;
-  int64_t j = 0;
-  for (; j <= len - 8; j += 8) {
-    const uint64_t mask = (LoadWord(cmp + j) * 0x8040201008040201ULL) >> 56;
-    const int32_t base = static_cast<int32_t>(j);
-    const uint8_t cnt = detail::kSelPosRev.cnt[mask];
-    for (uint8_t k = 0; k < cnt; ++k) {
-      idx[n++] = base + detail::kSelPosRev.pos[mask][k];
-    }
-  }
-  for (; j < len; ++j) {
-    idx[n] = static_cast<int32_t>(j);
-    n += cmp[j] != 0;
-  }
-  return n;
-}
-
-}  // namespace swar
 
 // ---------------------------------------------------------------------------
 // AVX2 backend. Every function carries target("avx2") so this header
@@ -810,7 +577,7 @@ SWOLE_TARGET_AVX2 void CompareLit(CmpOp op, const T* SWOLE_RESTRICT col,
                _mm256_movemask_ps(_mm256_castsi256_ps(m))) ^
            inv) &
           0xFFu;
-      swar::StoreWord(out + j, detail::kBitToByte[bits]);
+      detail::StoreWord(out + j, detail::kBitToByte[bits]);
     }
   } else {
     const __m256i vlit = _mm256_set1_epi64x(l);
@@ -839,7 +606,7 @@ SWOLE_TARGET_AVX2 void CompareLit(CmpOp op, const T* SWOLE_RESTRICT col,
              << 4)) ^
            inv) &
           0xFFu;
-      swar::StoreWord(out + j, detail::kBitToByte[bits]);
+      detail::StoreWord(out + j, detail::kBitToByte[bits]);
     }
   }
   for (; j < len; ++j) {
@@ -910,7 +677,7 @@ SWOLE_TARGET_AVX2 void CompareCol(CmpOp op, const T* SWOLE_RESTRICT lhs,
                _mm256_movemask_ps(_mm256_castsi256_ps(m))) ^
            inv) &
           0xFFu;
-      swar::StoreWord(out + j, detail::kBitToByte[bits]);
+      detail::StoreWord(out + j, detail::kBitToByte[bits]);
     }
   } else {
     const uint32_t inv = shape.invert ? 0xFFu : 0;
@@ -939,7 +706,7 @@ SWOLE_TARGET_AVX2 void CompareCol(CmpOp op, const T* SWOLE_RESTRICT lhs,
              << 4)) ^
            inv) &
           0xFFu;
-      swar::StoreWord(out + j, detail::kBitToByte[bits]);
+      detail::StoreWord(out + j, detail::kBitToByte[bits]);
     }
   }
   for (; j < len; ++j) {
@@ -1332,14 +1099,12 @@ SWOLE_TARGET_AVX2 inline int32_t SelVecFromCmp(const uint8_t* SWOLE_RESTRICT cmp
 // ---------------------------------------------------------------------------
 
 inline Backend DetectBackend() {
-  Backend best = CpuHasAvx2() ? Backend::kAvx2 : Backend::kSwar;
+  Backend best = CpuHasAvx2() ? Backend::kAvx2 : Backend::kScalar;
   const char* env = std::getenv("SWOLE_SIMD");
   if (env == nullptr || *env == '\0') return best;
   Backend requested = best;
   if (std::strcmp(env, "scalar") == 0) {
     requested = Backend::kScalar;
-  } else if (std::strcmp(env, "swar") == 0) {
-    requested = Backend::kSwar;
   } else if (std::strcmp(env, "avx2") == 0) {
     requested = Backend::kAvx2;
   }
@@ -1362,7 +1127,7 @@ inline Backend ActiveBackend() {
 
 /// Re-pins the backend (tests and benches). Unsupported tiers clamp down.
 inline Backend SetBackend(Backend b) {
-  if (b == Backend::kAvx2 && !CpuHasAvx2()) b = Backend::kSwar;
+  if (b == Backend::kAvx2 && !CpuHasAvx2()) b = Backend::kScalar;
   detail::BackendVar().store(b, std::memory_order_relaxed);
   return b;
 }
@@ -1377,8 +1142,6 @@ void CompareLit(CmpOp op, const T* col, int64_t lit, uint8_t* out,
     case Backend::kAvx2:
       return avx2::CompareLit<T>(op, col, lit, out, len);
 #endif
-    case Backend::kSwar:
-      return swar::CompareLit<T>(op, col, lit, out, len);
     default:
       return scalar::CompareLit<T>(op, col, lit, out, len);
   }
@@ -1392,8 +1155,6 @@ void CompareCol(CmpOp op, const T* lhs, const T* rhs, uint8_t* out,
     case Backend::kAvx2:
       return avx2::CompareCol<T>(op, lhs, rhs, out, len);
 #endif
-    case Backend::kSwar:
-      return swar::CompareCol<T>(op, lhs, rhs, out, len);
     default:
       return scalar::CompareCol<T>(op, lhs, rhs, out, len);
   }
@@ -1405,8 +1166,6 @@ inline void AndBytes(uint8_t* out, const uint8_t* other, int64_t len) {
     case Backend::kAvx2:
       return avx2::AndBytes(out, other, len);
 #endif
-    case Backend::kSwar:
-      return swar::AndBytes(out, other, len);
     default:
       return scalar::AndBytes(out, other, len);
   }
@@ -1418,8 +1177,6 @@ inline void OrBytes(uint8_t* out, const uint8_t* other, int64_t len) {
     case Backend::kAvx2:
       return avx2::OrBytes(out, other, len);
 #endif
-    case Backend::kSwar:
-      return swar::OrBytes(out, other, len);
     default:
       return scalar::OrBytes(out, other, len);
   }
@@ -1431,8 +1188,6 @@ inline void NotBytes(uint8_t* out, int64_t len) {
     case Backend::kAvx2:
       return avx2::NotBytes(out, len);
 #endif
-    case Backend::kSwar:
-      return swar::NotBytes(out, len);
     default:
       return scalar::NotBytes(out, len);
   }
@@ -1444,8 +1199,6 @@ inline int64_t CountBytes(const uint8_t* cmp, int64_t len) {
     case Backend::kAvx2:
       return avx2::CountBytes(cmp, len);
 #endif
-    case Backend::kSwar:
-      return swar::CountBytes(cmp, len);
     default:
       return scalar::CountBytes(cmp, len);
   }
@@ -1458,8 +1211,6 @@ int64_t SumMasked(const T* col, const uint8_t* cmp, int64_t len) {
     case Backend::kAvx2:
       return avx2::SumMasked<T>(col, cmp, len);
 #endif
-    case Backend::kSwar:
-      return swar::SumMasked<T>(col, cmp, len);
     default:
       return scalar::SumMasked<T>(col, cmp, len);
   }
@@ -1520,7 +1271,7 @@ void MaskKeys(const T* col, const uint8_t* cmp, int64_t null_key, int64_t len,
 /// Unified selection-vector construction. `scalar_flavor` picks which of
 /// the paper's scalar loop shapes represents the primitive when the scalar
 /// backend is active (the no-branch data dependency vs. the ROF LUT); the
-/// SWAR and AVX2 tiers use their word/movemask packing for both.
+/// AVX2 tier uses its movemask packing for both.
 enum class SelFlavor : uint8_t { kNoBranch, kLut };
 
 inline int32_t SelVecFromCmp(const uint8_t* cmp, int64_t len, int32_t* idx,
@@ -1530,8 +1281,6 @@ inline int32_t SelVecFromCmp(const uint8_t* cmp, int64_t len, int32_t* idx,
     case Backend::kAvx2:
       return avx2::SelVecFromCmp(cmp, len, idx);
 #endif
-    case Backend::kSwar:
-      return swar::SelVecFromCmp(cmp, len, idx);
     default:
       return scalar_flavor == SelFlavor::kLut
                  ? scalar::SelVecLut(cmp, len, idx)

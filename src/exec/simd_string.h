@@ -13,14 +13,14 @@
 #include "exec/simd.h"
 
 // String kernels over raw arena storage (storage/string_column.h: byte
-// blob + uint32 offsets), in the same three-tier runtime-dispatch
-// framework as exec/simd.h — scalar reference loops, SWAR word tricks,
-// AVX2 via per-function target attributes. Backend selection is shared
-// with the numeric kernels (simd::ActiveBackend()), so SWOLE_SIMD pins
-// string and numeric primitives together.
+// blob + uint32 offsets), in the same two-tier runtime-dispatch framework
+// as exec/simd.h — scalar reference loops that double as the portable
+// fallback, AVX2 via per-function target attributes. Backend selection is
+// shared with the numeric kernels (simd::ActiveBackend()), so SWOLE_SIMD
+// pins string and numeric primitives together.
 //
 // Bit-exactness contract (same as simd.h): every primitive returns
-// byte-identical results on all three tiers, for any byte content —
+// byte-identical results on both tiers, for any byte content —
 // embedded NUL and non-ASCII included; nothing here treats text as C
 // strings or applies locale rules. Matching is plain byte equality,
 // ordering is memcmp order with shorter-string-first tiebreak, and the
@@ -43,7 +43,7 @@
 //
 // Hashing (FNV-1a, seeded as common/string_util.h's Fnv1aHash64) is a
 // sequential byte recurrence with no width trick that preserves the exact
-// value, so all three tiers share one loop by design.
+// value, so both tiers share one loop by design.
 
 namespace swole::simd {
 
@@ -77,53 +77,27 @@ struct ScalarStrOps {
   static int64_t Find(const uint8_t* hay, int64_t hlen, const uint8_t* needle,
                       int64_t nlen) {
     const uint8_t first = needle[0];
-    const int64_t last_start = hlen - nlen;
-    for (int64_t i = 0; i <= last_start; ++i) {
-      if (hay[i] == first && EqRange(hay + i, needle, nlen)) return i;
-    }
-    return -1;
-  }
-};
-
-struct SwarStrOps {
-  static bool EqRange(const uint8_t* a, const uint8_t* b, int64_t n) {
-    int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      if (swar::LoadWord(a + i) != swar::LoadWord(b + i)) return false;
-    }
-    for (; i < n; ++i) {
-      if (a[i] != b[i]) return false;
-    }
-    return true;
-  }
-
-  static int CmpRange(const uint8_t* a, int64_t an, const uint8_t* b,
-                      int64_t bn) {
-    const int64_t n = std::min(an, bn);
-    int64_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      if (swar::LoadWord(a + i) != swar::LoadWord(b + i)) break;
-    }
-    for (; i < n; ++i) {
-      if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
-    }
-    return an < bn ? -1 : (an > bn ? 1 : 0);
-  }
-
-  static int64_t Find(const uint8_t* hay, int64_t hlen, const uint8_t* needle,
-                      int64_t nlen) {
-    const uint8_t first = needle[0];
-    const uint64_t pat = swar::kOnes * first;
+    const uint8_t last = needle[nlen - 1];
     const int64_t last_start = hlen - nlen;
     int64_t i = 0;
-    // Word loop proposes candidate starts wherever a byte equals the
-    // needle's first byte; ZeroBytesToOnes leaves one bit per matching
-    // byte, consumed lowest-first so candidates verify left to right.
-    for (; i + 8 <= last_start + 1; i += 8) {
-      uint64_t m = swar::ZeroBytesToOnes(swar::LoadWord(hay + i) ^ pat);
+    // First+last byte filter over 32 starts at a time: the flag loop has a
+    // fixed trip count and no early exit, so it vectorizes to byte
+    // compares; the flags pack into a mask whose set bits verify lowest
+    // first. With i+31 a valid start, hay[i+31+nlen-1] is in bounds.
+    for (; i + 32 <= last_start + 1; i += 32) {
+      uint8_t hit[32];
+      for (int k = 0; k < 32; ++k) {
+        hit[k] = (hay[i + k] == first) & (hay[i + k + nlen - 1] == last);
+      }
+      uint32_t m = 0;
+      for (int w = 0; w < 4; ++w) {
+        m |= detail::PackMask8(hit + 8 * w) << (8 * w);
+      }
       while (m != 0) {
-        const int64_t cand = i + (std::countr_zero(m) >> 3);
-        if (EqRange(hay + cand, needle, nlen)) return cand;
+        const int64_t cand = i + std::countr_zero(m);
+        if (std::memcmp(hay + cand, needle, static_cast<size_t>(nlen)) == 0) {
+          return cand;
+        }
         m &= m - 1;
       }
     }
@@ -148,7 +122,7 @@ struct Avx2StrOps {
       if (_mm256_movemask_epi8(_mm256_cmpeq_epi8(x, y)) != -1) return false;
     }
     for (; i + 8 <= n; i += 8) {
-      if (swar::LoadWord(a + i) != swar::LoadWord(b + i)) return false;
+      if (detail::LoadWord(a + i) != detail::LoadWord(b + i)) return false;
     }
     for (; i < n; ++i) {
       if (a[i] != b[i]) return false;
@@ -549,19 +523,12 @@ void StrLikeTileAndT(const uint8_t* bytes, const uint32_t* offsets,
   switch (ActiveBackend()) {                                \
     case Backend::kAvx2:                                    \
       return detail_str::fn<Avx2StrOps>(__VA_ARGS__);       \
-    case Backend::kSwar:                                    \
-      return detail_str::fn<SwarStrOps>(__VA_ARGS__);       \
     default:                                                \
       return detail_str::fn<ScalarStrOps>(__VA_ARGS__);     \
   }
 #else
-#define SWOLE_STR_DISPATCH(fn, ...)                         \
-  switch (ActiveBackend()) {                                \
-    case Backend::kSwar:                                    \
-      return detail_str::fn<SwarStrOps>(__VA_ARGS__);       \
-    default:                                                \
-      return detail_str::fn<ScalarStrOps>(__VA_ARGS__);     \
-  }
+#define SWOLE_STR_DISPATCH(fn, ...) \
+  return detail_str::fn<ScalarStrOps>(__VA_ARGS__)
 #endif
 
 /// out[j] = (row start+j == lit), 0/1 bytes.
@@ -644,9 +611,6 @@ inline bool StrLikeOne(const uint8_t* bytes, const uint32_t* offsets,
       match = detail_str::MatchCompiled<Avx2StrOps>(bytes + off, n, lk);
       break;
 #endif
-    case Backend::kSwar:
-      match = detail_str::MatchCompiled<SwarStrOps>(bytes + off, n, lk);
-      break;
     default:
       match = detail_str::MatchCompiled<ScalarStrOps>(bytes + off, n, lk);
       break;
@@ -665,8 +629,6 @@ inline int64_t StrFindFirst(const uint8_t* hay, int64_t hlen,
     case Backend::kAvx2:
       return Avx2StrOps::Find(hay, hlen, needle, nlen);
 #endif
-    case Backend::kSwar:
-      return SwarStrOps::Find(hay, hlen, needle, nlen);
     default:
       return ScalarStrOps::Find(hay, hlen, needle, nlen);
   }

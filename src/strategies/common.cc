@@ -18,15 +18,12 @@ namespace swole::pipeline {
 
 namespace {
 
-// One count per filter tile, bucketed by execution mode. Host-side only:
-// kernels.h stays free of obs so JIT-compiled objects keep their minimal
-// link surface.
+// One count per filter tile. Host-side only: kernels.h stays free of obs
+// so JIT-compiled objects keep their minimal link surface.
 void CountScanTile() {
-  static obs::Counter& native =
+  static obs::Counter& tiles =
       obs::MetricsRegistry::Global().GetCounter("simd.tiles_native");
-  static obs::Counter& widened =
-      obs::MetricsRegistry::Global().GetCounter("simd.tiles_widened");
-  (kernels::WidenEnabled() ? widened : native).Add(1);
+  tiles.Add(1);
 }
 
 kernels::CmpOp ToCmpOp(BinaryOp op) {
@@ -1411,7 +1408,6 @@ QueryResult MakeScalarResult(const QueryPlan& plan, const int64_t* acc) {
 }
 
 double AvgFactReadWidthBytes(const Table& fact, const QueryPlan& plan) {
-  if (kernels::WidenEnabled()) return 8.0;
   std::set<std::string> refs;
   for (const AggSpec& agg : plan.aggs) {
     if (agg.expr == nullptr) continue;

@@ -67,10 +67,10 @@ int32_t CompactSel(StrategyKind kind, int32_t* sel, const uint8_t* flags,
                    int32_t n);
 
 /// Average physical width (bytes) of the fact columns the plan's
-/// aggregation reads (aggregate inputs + group key). 8.0 when nothing is
-/// referenced or when kernels::WidenEnabled() forces the legacy widening
-/// path — scan-phase trace spans stamp this so traces show the width a
-/// query actually ran at.
+/// aggregation reads (aggregate inputs + group key); 8.0 when nothing is
+/// referenced. The kernels execute at this width, so scan-phase trace
+/// spans stamp it and the SWOLE cost model scales sequential bandwidth by
+/// it.
 double AvgFactReadWidthBytes(const Table& fact, const QueryPlan& plan);
 
 // ---- Build-side structures ----

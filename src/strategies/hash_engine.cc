@@ -426,7 +426,6 @@ Result<QueryResult> HashStrategyEngine::ExecuteGoverned(
   phase->Attr("width", StringFormat("%.1fB",
                                     pipeline::AvgFactReadWidthBytes(fact,
                                                                     plan)));
-  phase->Attr("widen", int64_t{kernels::WidenEnabled() ? 1 : 0});
   phase.reset();  // probe
   SWOLE_RETURN_NOT_OK(probe_stats.status);
 

@@ -98,7 +98,7 @@ struct SwoleStrategy::PlanAnalysis {
   bool use_ea = false;
   int groupjoin_dim = -1;
   int num_read_columns = 1;
-  double avg_read_width = 8.0;  // bytes; 8.0 when forced to widen
+  double avg_read_width = 8.0;  // bytes
   // Cost-model decision inputs, rendered once for the trace (obs/trace.h).
   std::string agg_cost_detail;
   std::string ea_cost_detail;
@@ -249,18 +249,7 @@ const SwoleStrategy::CachedAnalysis& SwoleStrategy::Analyze(
   }
   analysis.num_read_columns =
       std::max<int>(1, static_cast<int>(agg_columns.size()));
-  // Average physical width of the aggregation inputs: kernels execute at
-  // native width, so sequential bandwidth terms scale with it. Under the
-  // SWOLE_WIDEN escape hatch every read inflates to int64 first, so the
-  // model sees the legacy 8-byte traffic again.
-  if (!agg_columns.empty() && !kernels::WidenEnabled()) {
-    int64_t bytes = 0;
-    for (const std::string& ref : agg_columns) {
-      bytes += PhysicalTypeSize(fact.ColumnRef(ref).type().physical);
-    }
-    analysis.avg_read_width =
-        static_cast<double>(bytes) / static_cast<double>(agg_columns.size());
-  }
+  analysis.avg_read_width = pipeline::AvgFactReadWidthBytes(fact, plan);
 
   if (plan.HasGroupBy()) {
     analysis.expected_groups = pipeline::ExpectedGroups(catalog_, plan);
@@ -930,7 +919,6 @@ Result<QueryResult> SwoleStrategy::ExecuteGeneral(
   phase->Attr("steals", probe_stats.steals);
   phase->Attr("workers", static_cast<int64_t>(probe_stats.workers));
   phase->Attr("width", StringFormat("%.1fB", analysis.avg_read_width));
-  phase->Attr("widen", int64_t{kernels::WidenEnabled() ? 1 : 0});
   phase.reset();  // probe
   SWOLE_RETURN_NOT_OK(probe_stats.status);
 
@@ -1151,7 +1139,6 @@ Result<QueryResult> SwoleStrategy::ExecuteGroupjoin(
   phase->Attr("steals", probe_stats.steals);
   phase->Attr("workers", static_cast<int64_t>(probe_stats.workers));
   phase->Attr("width", StringFormat("%.1fB", analysis.avg_read_width));
-  phase->Attr("widen", int64_t{kernels::WidenEnabled() ? 1 : 0});
   phase.reset();
   SWOLE_RETURN_NOT_OK(probe_stats.status);
 
@@ -1315,7 +1302,6 @@ Result<QueryResult> SwoleStrategy::ExecuteEagerAggregation(
   phase->Attr("steals", agg_stats.steals);
   phase->Attr("workers", static_cast<int64_t>(agg_stats.workers));
   phase->Attr("width", StringFormat("%.1fB", analysis.avg_read_width));
-  phase->Attr("widen", int64_t{kernels::WidenEnabled() ? 1 : 0});
   phase.reset();
   SWOLE_RETURN_NOT_OK(agg_stats.status);
   phase.emplace(trace, "merge");

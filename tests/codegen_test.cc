@@ -87,7 +87,7 @@ TEST_F(CodegenTest, HybridSourceHasPrepassAndSelectionVector) {
           .value();
   // Fig. 1 middle: tiled prepass into cmp — the column-vs-literal leaf
   // lowers to the dispatched width-native CompareLit kernel — then the
-  // no-branch selection-vector kernel (scalar/SWAR/AVX2 at runtime).
+  // no-branch selection-vector kernel (scalar/AVX2 at runtime).
   EXPECT_NE(kernel.source.find("swole::kernels::CompareLit("),
             std::string::npos);
   EXPECT_NE(

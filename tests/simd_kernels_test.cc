@@ -1,13 +1,17 @@
 // Differential tests for the explicit SIMD backends (exec/simd.h): for
 // every primitive, every backend the host supports must produce
-// byte-identical results to the scalar reference loops — across tile
-// lengths that are not multiples of any vector width, empty tiles, all-0
-// and all-1 masks, and INT64_MIN/INT64_MAX extreme values. A final set of
+// byte-identical results — across tile lengths that are not multiples of
+// any vector width, empty tiles, all-0 and all-1 masks, and
+// INT64_MIN/INT64_MAX extreme values. Primitives whose scalar loop is
+// shaped for auto-vectorization (compares, byte ops, CountBytes) are
+// checked on every tier against a plain per-lane loop written here; the
+// rest diff every tier against the scalar backend. A final set of
 // query-level checks runs every strategy engine under every backend at
 // 1/2/8 threads against the reference oracle.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -27,8 +31,9 @@ namespace {
 using simd::Backend;
 using simd::CmpOp;
 
-// Lengths chosen to straddle the SWAR word (8) and AVX2 vector (4/8/16/32
-// lanes) boundaries, plus empty and odd tails.
+// Lengths chosen to straddle the 8-byte word and the AVX2 vector (4/8/16/32
+// lanes) boundaries, the scalar CountBytes block (255), plus empty and odd
+// tails.
 const int64_t kLens[] = {0,  1,  3,  7,  8,   9,   15,  16,   17,  31,
                          32, 33, 63, 64, 100, 255, 256, 1000, 1024, 1027};
 
@@ -48,7 +53,7 @@ class BackendGuard {
 // The backends this host can actually run (requests for unsupported tiers
 // clamp down in SetBackend, which would silently test a tier twice).
 std::vector<Backend> SupportedBackends() {
-  std::vector<Backend> backends = {Backend::kScalar, Backend::kSwar};
+  std::vector<Backend> backends = {Backend::kScalar};
   if (simd::CpuHasAvx2()) backends.push_back(Backend::kAvx2);
   return backends;
 }
@@ -86,30 +91,52 @@ std::vector<uint8_t> MaskBytes(std::mt19937_64* rng, int64_t len, int kind) {
   return m;
 }
 
+// Per-lane int64 reference for the compare sweeps.
+bool RefCmp(CmpOp op, int64_t lhs, int64_t rhs) {
+  switch (op) {
+    case CmpOp::kLt:
+      return lhs < rhs;
+    case CmpOp::kLe:
+      return lhs <= rhs;
+    case CmpOp::kGt:
+      return lhs > rhs;
+    case CmpOp::kGe:
+      return lhs >= rhs;
+    case CmpOp::kEq:
+      return lhs == rhs;
+    case CmpOp::kNe:
+      return lhs != rhs;
+  }
+  return false;
+}
+
 template <typename T>
 void CheckCompareLit() {
   std::mt19937_64 rng(42);
+  constexpr int64_t kMin = std::numeric_limits<T>::min();
+  constexpr int64_t kMax = std::numeric_limits<T>::max();
   for (int64_t len : kLens) {
     std::vector<T> col = RandomValues<T>(&rng, len, /*extremes=*/true);
     // In-range, boundary, and (for narrow types) out-of-range literals —
-    // the latter exercise the constant-result precheck.
-    const int64_t lits[] = {
-        len > 0 ? static_cast<int64_t>(col[len / 2]) : 0,
-        static_cast<int64_t>(std::numeric_limits<T>::min()),
-        static_cast<int64_t>(std::numeric_limits<T>::max()),
-        std::numeric_limits<int64_t>::min(),
-        std::numeric_limits<int64_t>::max()};
+    // the latter exercise the constant-result precheck, including the
+    // first values past each end of the width.
+    std::vector<int64_t> lits = {len > 0 ? static_cast<int64_t>(col[len / 2])
+                                         : 0,
+                                 kMin, kMax,
+                                 std::numeric_limits<int64_t>::min(),
+                                 std::numeric_limits<int64_t>::max()};
+    if constexpr (sizeof(T) < 8) {
+      lits.push_back(kMin - 1);
+      lits.push_back(kMax + 1);
+    }
     for (CmpOp op : kOps) {
       for (int64_t lit : lits) {
-        std::vector<uint8_t> expected(static_cast<size_t>(len) + 1, 0xAB);
-        simd::SetBackend(Backend::kScalar);
-        simd::CompareLit<T>(op, col.data(), lit, expected.data(), len);
-        for (Backend b : AltBackends()) {
+        for (Backend b : SupportedBackends()) {
           std::vector<uint8_t> got(static_cast<size_t>(len) + 1, 0xCD);
           simd::SetBackend(b);
           simd::CompareLit<T>(op, col.data(), lit, got.data(), len);
           for (int64_t j = 0; j < len; ++j) {
-            ASSERT_EQ(got[j], expected[j])
+            ASSERT_EQ(got[j], RefCmp(op, col[j], lit) ? 1 : 0)
                 << simd::BackendName(b) << " op " << static_cast<int>(op)
                 << " lit " << lit << " len " << len << " lane " << j;
           }
@@ -137,15 +164,12 @@ void CheckCompareCol() {
       rhs[1] = std::numeric_limits<T>::min();
     }
     for (CmpOp op : kOps) {
-      std::vector<uint8_t> expected(static_cast<size_t>(len) + 1, 0xAB);
-      simd::SetBackend(Backend::kScalar);
-      simd::CompareCol<T>(op, lhs.data(), rhs.data(), expected.data(), len);
-      for (Backend b : AltBackends()) {
+      for (Backend b : SupportedBackends()) {
         std::vector<uint8_t> got(static_cast<size_t>(len) + 1, 0xCD);
         simd::SetBackend(b);
         simd::CompareCol<T>(op, lhs.data(), rhs.data(), got.data(), len);
         for (int64_t j = 0; j < len; ++j) {
-          ASSERT_EQ(got[j], expected[j])
+          ASSERT_EQ(got[j], RefCmp(op, lhs[j], rhs[j]) ? 1 : 0)
               << simd::BackendName(b) << " op " << static_cast<int>(op)
               << " len " << len << " lane " << j;
         }
@@ -168,16 +192,17 @@ TEST(SimdByteOps, AndOrNotCountMatchScalar) {
         std::vector<uint8_t> a = MaskBytes(&rng, len, kind_a);
         std::vector<uint8_t> b = MaskBytes(&rng, len, kind_b);
 
-        simd::SetBackend(Backend::kScalar);
         std::vector<uint8_t> and_ref = a;
-        simd::AndBytes(and_ref.data(), b.data(), len);
         std::vector<uint8_t> or_ref = a;
-        simd::OrBytes(or_ref.data(), b.data(), len);
         std::vector<uint8_t> not_ref = a;
-        simd::NotBytes(not_ref.data(), len);
-        int64_t count_ref = simd::CountBytes(a.data(), len);
+        for (int64_t j = 0; j < len; ++j) {
+          and_ref[j] = a[j] & b[j];
+          or_ref[j] = a[j] | b[j];
+          not_ref[j] = 1 - a[j];
+        }
+        const int64_t count_ref = std::count(a.begin(), a.begin() + len, 1);
 
-        for (Backend back : AltBackends()) {
+        for (Backend back : SupportedBackends()) {
           simd::SetBackend(back);
           std::vector<uint8_t> and_got = a;
           simd::AndBytes(and_got.data(), b.data(), len);
@@ -470,8 +495,9 @@ TEST(SimdSelVec, AllBackendsAndFlavorsMatch) {
         simd::SetBackend(back);
         for (simd::SelFlavor flavor :
              {simd::SelFlavor::kNoBranch, simd::SelFlavor::kLut}) {
-          // Full tile of slack: the AVX2 tier stores 8-wide unconditionally
-          // but never writes at or past idx[len].
+          // Slack past the tile: the AVX2 tier and the scalar LUT store
+          // 8-wide unconditionally but must never write at or past
+          // idx[len].
           std::vector<int32_t> idx(static_cast<size_t>(len) + 8, -1);
           int32_t n = simd::SelVecFromCmp(cmp.data(), len, idx.data(),
                                           flavor);
@@ -480,6 +506,11 @@ TEST(SimdSelVec, AllBackendsAndFlavorsMatch) {
               << density;
           for (int32_t k = 0; k < n; ++k) {
             ASSERT_EQ(idx[k], ref[k])
+                << simd::BackendName(back) << " len " << len << " slot "
+                << k;
+          }
+          for (int64_t k = len; k < len + 8; ++k) {
+            ASSERT_EQ(idx[k], -1)
                 << simd::BackendName(back) << " len " << len << " slot "
                 << k;
           }
@@ -518,129 +549,12 @@ TEST(SimdDispatch, UnsupportedRequestsClampDown) {
   if (simd::CpuHasAvx2()) {
     EXPECT_EQ(got, Backend::kAvx2);
   } else {
-    EXPECT_EQ(got, Backend::kSwar);
+    EXPECT_EQ(got, Backend::kScalar);
   }
   EXPECT_EQ(simd::ActiveBackend(), got);
   EXPECT_EQ(simd::SetBackend(Backend::kScalar), Backend::kScalar);
   EXPECT_STREQ(simd::BackendName(Backend::kScalar), "scalar");
-  EXPECT_STREQ(simd::BackendName(Backend::kSwar), "swar");
   EXPECT_STREQ(simd::BackendName(Backend::kAvx2), "avx2");
-}
-
-// ---- Native-width vs forced-widening differentials ----
-//
-// SWOLE_WIDEN=1 (kernels::SetWidenMode) routes every narrow-typed kernel
-// through the legacy widen-to-int64 path. Both modes must agree bit for
-// bit on every primitive, under every backend.
-
-class WidenGuard {
- public:
-  WidenGuard() : saved_(kernels::WidenEnabled()) {}
-  ~WidenGuard() { kernels::SetWidenMode(saved_); }
-
- private:
-  bool saved_;
-};
-
-template <typename T>
-void CheckWidenedKernels() {
-  std::mt19937_64 rng(52);
-  const int64_t null_key = HashTable::kMaskKey;
-  for (int64_t len : kLens) {
-    std::vector<T> a = RandomValues<T>(&rng, len, /*extremes=*/true);
-    std::vector<T> b = RandomValues<T>(&rng, len, /*extremes=*/true);
-    std::vector<uint8_t> cmp = MaskBytes(&rng, len, 0);
-    // Small values for the sum legs (see CheckMaskedSums).
-    std::vector<T> sm_a(static_cast<size_t>(len) + 1);
-    std::vector<T> sm_b(static_cast<size_t>(len) + 1);
-    std::uniform_int_distribution<int64_t> small(-100, 100);
-    for (int64_t j = 0; j < len; ++j) {
-      sm_a[j] = static_cast<T>(small(rng));
-      sm_b[j] = static_cast<T>(small(rng));
-    }
-    const int64_t lit =
-        len > 0 ? static_cast<int64_t>(a[len / 2])
-                : static_cast<int64_t>(std::numeric_limits<T>::max());
-    for (Backend back : SupportedBackends()) {
-      simd::SetBackend(back);
-      for (CmpOp op : kOps) {
-        std::vector<uint8_t> cl_ref(static_cast<size_t>(len) + 1, 0xAB);
-        std::vector<uint8_t> cc_ref(static_cast<size_t>(len) + 1, 0xAB);
-        std::vector<int64_t> ct_ref(static_cast<size_t>(len) + 1, -7);
-        kernels::SetWidenMode(false);
-        kernels::CompareLit<T>(op, a.data(), lit, cl_ref.data(), len);
-        kernels::CompareCol<T>(op, a.data(), b.data(), cc_ref.data(), len);
-        kernels::CompareLitMaskIntoTmp<T>(op, a.data(), lit, len,
-                                          ct_ref.data());
-        kernels::SetWidenMode(true);
-        std::vector<uint8_t> cl_got(static_cast<size_t>(len) + 1, 0xCD);
-        std::vector<uint8_t> cc_got(static_cast<size_t>(len) + 1, 0xCD);
-        std::vector<int64_t> ct_got(static_cast<size_t>(len) + 1, -9);
-        kernels::CompareLit<T>(op, a.data(), lit, cl_got.data(), len);
-        kernels::CompareCol<T>(op, a.data(), b.data(), cc_got.data(), len);
-        kernels::CompareLitMaskIntoTmp<T>(op, a.data(), lit, len,
-                                          ct_got.data());
-        for (int64_t j = 0; j < len; ++j) {
-          ASSERT_EQ(cl_got[j], cl_ref[j])
-              << simd::BackendName(back) << " CompareLit op "
-              << static_cast<int>(op) << " len " << len << " lane " << j;
-          ASSERT_EQ(cc_got[j], cc_ref[j])
-              << simd::BackendName(back) << " CompareCol op "
-              << static_cast<int>(op) << " len " << len << " lane " << j;
-          ASSERT_EQ(ct_got[j], ct_ref[j])
-              << simd::BackendName(back) << " CompareLitMaskIntoTmp op "
-              << static_cast<int>(op) << " len " << len << " lane " << j;
-        }
-      }
-
-      kernels::SetWidenMode(false);
-      int64_t sum_ref = kernels::SumMasked<T>(sm_a.data(), cmp.data(), len);
-      int64_t prod_ref = kernels::SumProductMasked<T, T>(
-          sm_a.data(), sm_b.data(), cmp.data(), len);
-      std::vector<int64_t> mt_ref(static_cast<size_t>(len) + 1, -7);
-      std::vector<int64_t> mk_ref(static_cast<size_t>(len) + 1, -7);
-      kernels::MaskIntoTmp<T>(sm_a.data(), cmp.data(), len, mt_ref.data());
-      kernels::MaskKeys<T>(a.data(), cmp.data(), null_key, len,
-                           mk_ref.data());
-      kernels::SetWidenMode(true);
-      EXPECT_EQ(kernels::SumMasked<T>(sm_a.data(), cmp.data(), len), sum_ref)
-          << simd::BackendName(back) << " len " << len;
-      EXPECT_EQ((kernels::SumProductMasked<T, T>(sm_a.data(), sm_b.data(),
-                                                 cmp.data(), len)),
-                prod_ref)
-          << simd::BackendName(back) << " len " << len;
-      std::vector<int64_t> mt_got(static_cast<size_t>(len) + 1, -9);
-      std::vector<int64_t> mk_got(static_cast<size_t>(len) + 1, -9);
-      kernels::MaskIntoTmp<T>(sm_a.data(), cmp.data(), len, mt_got.data());
-      kernels::MaskKeys<T>(a.data(), cmp.data(), null_key, len,
-                           mk_got.data());
-      for (int64_t j = 0; j < len; ++j) {
-        ASSERT_EQ(mt_got[j], mt_ref[j])
-            << simd::BackendName(back) << " MaskIntoTmp len " << len
-            << " lane " << j;
-        ASSERT_EQ(mk_got[j], mk_ref[j])
-            << simd::BackendName(back) << " MaskKeys len " << len << " lane "
-            << j;
-      }
-      kernels::SetWidenMode(false);
-    }
-  }
-}
-
-TEST(WidenedKernels, Int8) {
-  BackendGuard b;
-  WidenGuard w;
-  CheckWidenedKernels<int8_t>();
-}
-TEST(WidenedKernels, Int16) {
-  BackendGuard b;
-  WidenGuard w;
-  CheckWidenedKernels<int16_t>();
-}
-TEST(WidenedKernels, Int32) {
-  BackendGuard b;
-  WidenGuard w;
-  CheckWidenedKernels<int32_t>();
 }
 
 // ---- Query-level cross-backend bit-exactness ----
@@ -710,27 +624,6 @@ TEST_F(SimdQueryTest, GroupByAggregation) {
 TEST_F(SimdQueryTest, FkJoin) { CheckAcrossBackends(MicroQ4(true, 60, 40)); }
 
 TEST_F(SimdQueryTest, Groupjoin) {
-  CheckAcrossBackends(MicroQ5(false, 50, 100));
-}
-
-// The SWOLE_WIDEN=1 escape hatch must reproduce the oracle bit for bit on
-// the same strategy × backend × thread-count grid as the native-width runs
-// above — together the two suites prove native and widened execution agree.
-TEST_F(SimdQueryTest, WidenedScalarAggregation) {
-  WidenGuard w;
-  kernels::SetWidenMode(true);
-  CheckAcrossBackends(MicroQ1(false, 37));
-}
-
-TEST_F(SimdQueryTest, WidenedGroupByAggregation) {
-  WidenGuard w;
-  kernels::SetWidenMode(true);
-  CheckAcrossBackends(MicroQ2(data_->c_columns[1], data_->c_actual[1], 45));
-}
-
-TEST_F(SimdQueryTest, WidenedGroupjoin) {
-  WidenGuard w;
-  kernels::SetWidenMode(true);
   CheckAcrossBackends(MicroQ5(false, 50, 100));
 }
 
