@@ -256,6 +256,12 @@ std::string EmitExpr(const Expr& expr, const std::string& table,
         return StringFormat("((int64_t)((%s) %s (%s)))", lhs.c_str(), op,
                             rhs.c_str());
       }
+      if (expr.op == BinaryOp::kDiv && style == BoolStyle::kBranchFree) {
+        // Branch-free code divides lanes the plan may discard: a zero
+        // divisor there must not trap.
+        return StringFormat("((%s) / swole::kernels::NonzeroDivisor(%s))",
+                            lhs.c_str(), rhs.c_str());
+      }
       return StringFormat("((%s) %s (%s))", lhs.c_str(), op, rhs.c_str());
     }
     case ExprKind::kNot:

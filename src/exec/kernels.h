@@ -217,16 +217,23 @@ using simd::SumMasked;
 /// Value masking of a product (Fig. 3): sum_j (a[j]*b[j]) * cmp[j].
 using simd::SumProductMasked;
 
+/// A divisor of 0 becomes 1, branch-free. Every division over lanes the
+/// plan may discard goes through it, so a discarded row never traps.
+SWOLE_ALWAYS_INLINE int64_t NonzeroDivisor(int64_t d) { return d + (d == 0); }
+
 /// Value-masked quotient: sum_j (a[j]/b[j]) * cmp[j]. Division happens for
 /// every lane — this is the "wasted work" that makes VM lose on
-/// compute-bound aggregations (Fig. 8b).
+/// compute-bound aggregations (Fig. 8b). Masked lanes may hold a zero
+/// divisor, so it is guarded (NonzeroDivisor).
 template <typename TA, typename TB>
 int64_t SumQuotientMasked(const TA* SWOLE_RESTRICT a,
                           const TB* SWOLE_RESTRICT b,
                           const uint8_t* SWOLE_RESTRICT cmp, int64_t len) {
   int64_t sum = 0;
   for (int64_t j = 0; j < len; ++j) {
-    sum += (static_cast<int64_t>(a[j]) / static_cast<int64_t>(b[j])) * cmp[j];
+    sum += (static_cast<int64_t>(a[j]) /
+            NonzeroDivisor(static_cast<int64_t>(b[j]))) *
+           cmp[j];
   }
   return sum;
 }

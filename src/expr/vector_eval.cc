@@ -3,6 +3,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "exec/kernels.h"
+#include "expr/tile_program.h"
 #include "storage/table.h"
 
 namespace swole {
@@ -50,13 +51,6 @@ VectorEvaluator::VectorEvaluator(const Table& table, int64_t tile_size)
   SWOLE_CHECK_GT(tile_size, 0);
 }
 
-int64_t* VectorEvaluator::NumScratch(int depth) {
-  while (static_cast<int>(num_scratch_.size()) <= depth) {
-    num_scratch_.push_back(std::make_unique<int64_t[]>(tile_size_));
-  }
-  return num_scratch_[depth].get();
-}
-
 uint8_t* VectorEvaluator::BoolScratch(int depth) {
   while (static_cast<int>(bool_scratch_.size()) <= depth) {
     bool_scratch_.push_back(std::make_unique<uint8_t[]>(tile_size_));
@@ -64,12 +58,31 @@ uint8_t* VectorEvaluator::BoolScratch(int depth) {
   return bool_scratch_[depth].get();
 }
 
-const int64_t* VectorEvaluator::FindOverride(const std::string& name) const {
-  if (overrides_ == nullptr) return nullptr;
-  for (const auto& [override_name, buffer] : *overrides_) {
-    if (override_name == name) return buffer;
+// A node's numeric operands compiled into one tile program, with this
+// evaluator's registers for it.
+struct VectorEvaluator::Operands {
+  Operands(const Table& table, const std::vector<const Expr*>& exprs,
+           int64_t tile_size)
+      : program(table, exprs), regs(program.NewRegisters(tile_size)) {}
+
+  const int64_t* Output(int i) const { return program.Output(regs, i); }
+
+  TileProgram program;
+  TileProgram::Registers regs;
+};
+
+VectorEvaluator::~VectorEvaluator() = default;
+
+const VectorEvaluator::Operands& VectorEvaluator::EvalOperands(
+    const Expr& node, std::initializer_list<const Expr*> operands,
+    int64_t start, int64_t len) {
+  std::unique_ptr<Operands>& compiled = operands_[&node];
+  if (compiled == nullptr) {
+    compiled = std::make_unique<Operands>(table_, operands, tile_size_);
   }
-  return nullptr;
+  // Prepass semantics: every lane is computed, so no division is checked.
+  compiled->program.EvalAll(start, len, /*keep=*/nullptr, &compiled->regs);
+  return *compiled;
 }
 
 const std::vector<uint8_t>& VectorEvaluator::LikeMaskFor(const Expr& like) {
@@ -102,23 +115,17 @@ void VectorEvaluator::EvalBool(const Expr& expr, int64_t start, int64_t len,
       if (expr.op == BinaryOp::kAnd || expr.op == BinaryOp::kOr) {
         // Prepass semantics: both sides are evaluated unconditionally and
         // combined bitwise — no short circuit, no branches.
+        // Reentrancy: the rhs takes the scratch buffer of this nesting
+        // depth, so a logical node anywhere below it (under NOT, say)
+        // evaluates into a deeper one.
         EvalBool(*expr.children[0], start, len, cmp);
-        uint8_t* rhs = BoolScratch(0);
-        // Reentrancy: nested AND/OR chains reuse scratch; evaluate the rhs
-        // into a fresh local buffer when the child is itself logical.
-        std::vector<uint8_t> local;
-        uint8_t* rhs_buf = rhs;
-        if (expr.children[1]->kind == ExprKind::kBinary &&
-            (expr.children[1]->op == BinaryOp::kAnd ||
-             expr.children[1]->op == BinaryOp::kOr)) {
-          local.resize(len);
-          rhs_buf = local.data();
-        }
-        EvalBool(*expr.children[1], start, len, rhs_buf);
+        uint8_t* rhs = BoolScratch(bool_depth_++);
+        EvalBool(*expr.children[1], start, len, rhs);
+        --bool_depth_;
         if (expr.op == BinaryOp::kAnd) {
-          kernels::AndBytes(cmp, rhs_buf, len);
+          kernels::AndBytes(cmp, rhs, len);
         } else {
-          kernels::OrBytes(cmp, rhs_buf, len);
+          kernels::OrBytes(cmp, rhs, len);
         }
         return;
       }
@@ -130,11 +137,6 @@ void VectorEvaluator::EvalBool(const Expr& expr, int64_t start, int64_t len,
       // Fast path 1: column OP literal (typed branch-free loop).
       if (lhs.kind == ExprKind::kColumnRef &&
           rhs.kind == ExprKind::kLiteral) {
-        if (const int64_t* buf = FindOverride(lhs.column)) {
-          kernels::CompareLit<int64_t>(op, buf + start, rhs.literal, cmp,
-                                       len);
-          return;
-        }
         const Column& col = table_.ColumnRef(lhs.column);
         DispatchPhysical(col.type().physical, [&]<typename T>() {
           kernels::CompareLit<T>(op, col.Data<T>() + start, rhs.literal, cmp,
@@ -145,11 +147,6 @@ void VectorEvaluator::EvalBool(const Expr& expr, int64_t start, int64_t len,
       // Fast path 2: literal OP column (flip).
       if (lhs.kind == ExprKind::kLiteral &&
           rhs.kind == ExprKind::kColumnRef) {
-        if (const int64_t* buf = FindOverride(rhs.column)) {
-          kernels::CompareLit<int64_t>(FlipCmpOp(op), buf + start,
-                                       lhs.literal, cmp, len);
-          return;
-        }
         const Column& col = table_.ColumnRef(rhs.column);
         DispatchPhysical(col.type().physical, [&]<typename T>() {
           kernels::CompareLit<T>(FlipCmpOp(op), col.Data<T>() + start,
@@ -159,9 +156,7 @@ void VectorEvaluator::EvalBool(const Expr& expr, int64_t start, int64_t len,
       }
       // Fast path 3: column OP column with matching physical type.
       if (lhs.kind == ExprKind::kColumnRef &&
-          rhs.kind == ExprKind::kColumnRef &&
-          FindOverride(lhs.column) == nullptr &&
-          FindOverride(rhs.column) == nullptr) {
+          rhs.kind == ExprKind::kColumnRef) {
         const Column& lcol = table_.ColumnRef(lhs.column);
         const Column& rcol = table_.ColumnRef(rhs.column);
         if (lcol.type().physical == rcol.type().physical) {
@@ -172,12 +167,16 @@ void VectorEvaluator::EvalBool(const Expr& expr, int64_t start, int64_t len,
           return;
         }
       }
-      // General path: evaluate both sides to int64 and compare.
-      int64_t* lbuf = NumScratch(0);
-      std::vector<int64_t> rlocal(len);
-      EvalNumeric(lhs, start, len, lbuf);
-      EvalNumeric(rhs, start, len, rlocal.data());
-      kernels::CompareCol<int64_t>(op, lbuf, rlocal.data(), cmp, len);
+      // General path: both sides through the tile program, then compare.
+      if (rhs.kind == ExprKind::kLiteral) {
+        const Operands& values = EvalOperands(expr, {&lhs}, start, len);
+        kernels::CompareLit<int64_t>(op, values.Output(0), rhs.literal, cmp,
+                                     len);
+        return;
+      }
+      const Operands& values = EvalOperands(expr, {&lhs, &rhs}, start, len);
+      kernels::CompareCol<int64_t>(op, values.Output(0), values.Output(1),
+                                   cmp, len);
       return;
     }
     case ExprKind::kNot:
@@ -199,10 +198,6 @@ void VectorEvaluator::EvalBool(const Expr& expr, int64_t start, int64_t len,
         }
       }
       const std::vector<uint8_t>& mask = LikeMaskFor(expr);
-      if (const int64_t* buf = FindOverride(expr.children[0]->column)) {
-        kernels::LookupMask<int64_t>(buf + start, mask.data(), cmp, len);
-        return;
-      }
       const Column& col = table_.ColumnRef(expr.children[0]->column);
       DispatchPhysical(col.type().physical, [&]<typename T>() {
         kernels::LookupMask<T>(col.Data<T>() + start, mask.data(), cmp, len);
@@ -212,25 +207,23 @@ void VectorEvaluator::EvalBool(const Expr& expr, int64_t start, int64_t len,
     case ExprKind::kInList: {
       // value IN (v1, ..., vk)  ==  OR of equality prepasses.
       const Expr& target = *expr.children[0];
-      uint8_t* scratch = BoolScratch(1);
+      const Column* col = target.kind == ExprKind::kColumnRef
+                              ? &table_.ColumnRef(target.column)
+                              : nullptr;
+      const int64_t* values =
+          col == nullptr ? EvalOperands(expr, {&target}, start, len).Output(0)
+                         : nullptr;
+      uint8_t* scratch = BoolScratch(bool_depth_);
       bool first = true;
       for (int64_t candidate : expr.in_list) {
         uint8_t* dst = first ? cmp : scratch;
-        if (target.kind == ExprKind::kColumnRef &&
-            FindOverride(target.column) != nullptr) {
-          kernels::CompareLit<int64_t>(kernels::CmpOp::kEq,
-                                       FindOverride(target.column) + start,
-                                       candidate, dst, len);
-        } else if (target.kind == ExprKind::kColumnRef) {
-          const Column& col = table_.ColumnRef(target.column);
-          DispatchPhysical(col.type().physical, [&]<typename T>() {
+        if (col != nullptr) {
+          DispatchPhysical(col->type().physical, [&]<typename T>() {
             kernels::CompareLit<T>(kernels::CmpOp::kEq,
-                                   col.Data<T>() + start, candidate, dst,
+                                   col->Data<T>() + start, candidate, dst,
                                    len);
           });
         } else {
-          int64_t* values = NumScratch(1);
-          EvalNumeric(target, start, len, values);
           kernels::CompareLit<int64_t>(kernels::CmpOp::kEq, values, candidate,
                                        dst, len);
         }
@@ -241,87 +234,12 @@ void VectorEvaluator::EvalBool(const Expr& expr, int64_t start, int64_t len,
     }
     default: {
       // Numeric used in boolean position: nonzero test.
-      std::vector<int64_t> values(len);
-      EvalNumeric(expr, start, len, values.data());
-      kernels::CompareLit<int64_t>(kernels::CmpOp::kNe, values.data(), 0, cmp,
-                                   len);
+      const Operands& values = EvalOperands(expr, {&expr}, start, len);
+      kernels::CompareLit<int64_t>(kernels::CmpOp::kNe, values.Output(0), 0,
+                                   cmp, len);
       return;
     }
   }
-}
-
-void VectorEvaluator::EvalNumeric(const Expr& expr, int64_t start,
-                                  int64_t len, int64_t* out) {
-  SWOLE_DCHECK_LE(len, tile_size_);
-  switch (expr.kind) {
-    case ExprKind::kLiteral:
-      for (int64_t j = 0; j < len; ++j) out[j] = expr.literal;
-      return;
-    case ExprKind::kColumnRef: {
-      if (const int64_t* buf = FindOverride(expr.column)) {
-        for (int64_t j = 0; j < len; ++j) out[j] = buf[start + j];
-        return;
-      }
-      const Column& col = table_.ColumnRef(expr.column);
-      DispatchPhysical(col.type().physical, [&]<typename T>() {
-        kernels::Widen<T>(col.Data<T>() + start, len, out);
-      });
-      return;
-    }
-    case ExprKind::kBinary: {
-      if (IsBooleanOp(expr.op)) break;  // handled by the boolean path below
-      // Arithmetic: children into two buffers, then a branch-free combine.
-      std::vector<int64_t> lhs(len);
-      std::vector<int64_t> rhs(len);
-      EvalNumeric(*expr.children[0], start, len, lhs.data());
-      EvalNumeric(*expr.children[1], start, len, rhs.data());
-      switch (expr.op) {
-        case BinaryOp::kAdd:
-          for (int64_t j = 0; j < len; ++j) out[j] = lhs[j] + rhs[j];
-          return;
-        case BinaryOp::kSub:
-          for (int64_t j = 0; j < len; ++j) out[j] = lhs[j] - rhs[j];
-          return;
-        case BinaryOp::kMul:
-          for (int64_t j = 0; j < len; ++j) out[j] = lhs[j] * rhs[j];
-          return;
-        case BinaryOp::kDiv:
-          for (int64_t j = 0; j < len; ++j) {
-            SWOLE_DCHECK_NE(rhs[j], 0);
-            out[j] = lhs[j] / rhs[j];
-          }
-          return;
-        default:
-          SWOLE_CHECK(false) << "unreachable";
-      }
-      return;
-    }
-    case ExprKind::kCase: {
-      // Masked CASE (§III-A): all arms are evaluated unconditionally; the
-      // result is selected branch-free, first-match-wins via reverse
-      // overwrite.
-      EvalNumeric(*expr.children.back(), start, len, out);
-      std::vector<uint8_t> cond(len);
-      std::vector<int64_t> value(len);
-      for (int64_t i =
-               static_cast<int64_t>(expr.children.size()) / 2 * 2 - 2;
-           i >= 0; i -= 2) {
-        EvalBool(*expr.children[i], start, len, cond.data());
-        EvalNumeric(*expr.children[i + 1], start, len, value.data());
-        for (int64_t j = 0; j < len; ++j) {
-          int64_t m = -static_cast<int64_t>(cond[j]);
-          out[j] = (value[j] & m) | (out[j] & ~m);
-        }
-      }
-      return;
-    }
-    default:
-      break;
-  }
-  // Boolean expression used as a 0/1 numeric value (masking).
-  std::vector<uint8_t> cmp(len);
-  EvalBool(expr, start, len, cmp.data());
-  for (int64_t j = 0; j < len; ++j) out[j] = cmp[j];
 }
 
 }  // namespace swole

@@ -117,7 +117,6 @@ Scratch::Scratch(int64_t tile_size)
       vals(tile_size),
       vals2(tile_size),
       offs(tile_size),
-      gath(tile_size),
       ptrs(tile_size) {}
 
 void FilterToMask(VectorEvaluator* eval, const Expr* filter, int64_t start,
@@ -748,10 +747,7 @@ void GatherPathAll(const ResolvedPath& path, int64_t start, int64_t len,
 
 AggShape DetectAggShape(const Table& fact, const AggSpec& agg) {
   AggShape shape;
-  if (agg.kind == AggKind::kCount) {
-    shape.kind = AggShape::Kind::kCount;
-    return shape;
-  }
+  if (agg.kind != AggKind::kSum || !agg.path_factor.empty()) return shape;
   const Expr& e = *agg.expr;
   if (e.kind == ExprKind::kColumnRef) {
     shape.kind = AggShape::Kind::kCol;
@@ -766,86 +762,131 @@ AggShape DetectAggShape(const Table& fact, const AggSpec& agg) {
                                         : AggShape::Kind::kQuotient;
     shape.a = &fact.ColumnRef(e.children[0]->column);
     shape.b = &fact.ColumnRef(e.children[1]->column);
-    return shape;
   }
-  shape.kind = AggShape::Kind::kGeneral;
   return shape;
 }
 
 namespace {
 
-// Generic (non-fused) per-lane value computation for selected lanes:
-// gathers every referenced column and evaluates the expression compacted.
-void GeneralValuesSel(const Table& fact, VectorEvaluator* eval,
-                      const Expr& expr, int64_t start, const int32_t* sel,
-                      int32_t n, int64_t* out) {
-  std::vector<std::string> refs = CollectColumnRefs(expr);
-  std::vector<std::vector<int64_t>> buffers(refs.size());
-  VectorEvaluator::Overrides overrides;
-  for (size_t r = 0; r < refs.size(); ++r) {
-    buffers[r].resize(n);
-    GatherColumnSel(fact.ColumnRef(refs[r]), start, sel, n,
-                    buffers[r].data());
-    overrides.emplace_back(refs[r], buffers[r].data());
+std::vector<AggShape> DetectAggShapes(const Table& fact,
+                                      const QueryPlan& plan) {
+  std::vector<AggShape> shapes;
+  for (const AggSpec& agg : plan.aggs) {
+    shapes.push_back(DetectAggShape(fact, agg));
   }
-  eval->SetOverrides(&overrides);
-  eval->EvalNumeric(expr, 0, n, out);
-  eval->SetOverrides(nullptr);
+  return shapes;
+}
+
+// A COUNT the scalar accumulators add up without per-lane values.
+bool IsPlainCount(const AggSpec& agg) {
+  return agg.kind == AggKind::kCount && agg.path_factor.empty();
+}
+
+// Output 0: the key expression; output 1 + a: aggregate a's input. A
+// scalar plan leaves out what the fused kernels or the caller sum.
+TileProgram CompileAggInputs(const Table& fact, const QueryPlan& plan,
+                             const std::vector<AggShape>& shapes,
+                             const std::vector<uint8_t>& skip) {
+  static const ExprPtr kCountInput = Lit(1);
+  std::vector<const Expr*> outputs = {plan.group_by.get()};
+  for (size_t a = 0; a < plan.aggs.size(); ++a) {
+    const AggSpec& agg = plan.aggs[a];
+    const bool fused = !plan.HasGroupBy() &&
+                       ((!skip.empty() && skip[a]) ||
+                        shapes[a].kind != AggShape::Kind::kGeneral ||
+                        IsPlainCount(agg));
+    outputs.push_back(fused ? nullptr
+                      : agg.expr != nullptr ? agg.expr.get()
+                                            : kCountInput.get());
+  }
+  return TileProgram(fact, outputs);
+}
+
+ResolvedPath ResolvePathAlias(const Catalog& catalog, const Table& fact,
+                              const QueryPlan& plan,
+                              const std::string& alias) {
+  if (alias.empty()) return ResolvedPath{};
+  return ResolvePath(catalog, fact, *plan.FindPath(alias));
+}
+
+std::vector<ResolvedPath> ResolveFactorPaths(const Catalog& catalog,
+                                             const Table& fact,
+                                             const QueryPlan& plan) {
+  std::vector<ResolvedPath> paths;
+  for (const AggSpec& agg : plan.aggs) {
+    paths.push_back(ResolvePathAlias(catalog, fact, plan, agg.path_factor));
+  }
+  return paths;
 }
 
 }  // namespace
 
-void AggValuesSel(const Table& fact, VectorEvaluator* eval,
-                  const AggSpec& agg, const AggShape& shape, int64_t start,
-                  const int32_t* sel, int32_t n, Scratch* scratch,
-                  int64_t* out) {
-  switch (shape.kind) {
-    case AggShape::Kind::kCount:
-      for (int32_t k = 0; k < n; ++k) out[k] = 1;
-      return;
-    case AggShape::Kind::kCol:
-      GatherColumnSel(*shape.a, start, sel, n, out);
-      return;
-    case AggShape::Kind::kProduct:
-      GatherColumnSel(*shape.a, start, sel, n, out);
-      GatherColumnSel(*shape.b, start, sel, n, scratch->vals2.data());
-      for (int32_t k = 0; k < n; ++k) out[k] *= scratch->vals2[k];
-      return;
-    case AggShape::Kind::kQuotient:
-      GatherColumnSel(*shape.a, start, sel, n, out);
-      GatherColumnSel(*shape.b, start, sel, n, scratch->vals2.data());
-      for (int32_t k = 0; k < n; ++k) out[k] /= scratch->vals2[k];
-      return;
-    case AggShape::Kind::kGeneral:
-      GeneralValuesSel(fact, eval, *agg.expr, start, sel, n, out);
-      return;
+AggProgram::AggProgram(const Catalog& catalog, const Table& fact,
+                       const QueryPlan& plan,
+                       const std::vector<uint8_t>& skip)
+    : plan(plan),
+      shapes(DetectAggShapes(fact, plan)),
+      skip(skip),
+      group_path(ResolvePathAlias(catalog, fact, plan, plan.group_by_path)),
+      factor_paths(ResolveFactorPaths(catalog, fact, plan)),
+      program(CompileAggInputs(fact, plan, shapes, skip)) {}
+
+AggLanes::AggLanes(const AggProgram& program, int64_t tile_size)
+    : program_(program), regs_(program.program.NewRegisters(tile_size)) {
+  const QueryPlan& plan = program.plan;
+  if (!plan.group_by_path.empty()) {
+    path_keys_.resize(tile_size);
+    keys_ = path_keys_.data();
+  } else {
+    keys_ = program.program.Output(regs_, 0);
+  }
+  factor_values_.resize(plan.aggs.size());
+  for (size_t a = 0; a < plan.aggs.size(); ++a) {
+    const int64_t* input =
+        program.program.Output(regs_, 1 + static_cast<int>(a));
+    if (input != nullptr && !plan.aggs[a].path_factor.empty()) {
+      factor_values_[a].resize(tile_size);
+      input = factor_values_[a].data();
+    }
+    values_.push_back(input);
   }
 }
 
-void AggValuesAll(const Table& fact, VectorEvaluator* eval,
-                  const AggSpec& agg, const AggShape& shape, int64_t start,
-                  int64_t len, Scratch* scratch, int64_t* out) {
-  (void)fact;  // shapes carry the column pointers already
-  switch (shape.kind) {
-    case AggShape::Kind::kCount:
-      for (int64_t j = 0; j < len; ++j) out[j] = 1;
-      return;
-    case AggShape::Kind::kCol:
-      WidenColumn(*shape.a, start, len, out);
-      return;
-    case AggShape::Kind::kProduct:
-      WidenColumn(*shape.a, start, len, out);
-      WidenColumn(*shape.b, start, len, scratch->vals2.data());
-      for (int64_t j = 0; j < len; ++j) out[j] *= scratch->vals2[j];
-      return;
-    case AggShape::Kind::kQuotient:
-      WidenColumn(*shape.a, start, len, out);
-      WidenColumn(*shape.b, start, len, scratch->vals2.data());
-      for (int64_t j = 0; j < len; ++j) out[j] /= scratch->vals2[j];
-      return;
-    case AggShape::Kind::kGeneral:
-      eval->EvalNumeric(*agg.expr, start, len, out);
-      return;
+void AggLanes::ComputeSel(int64_t start, const int32_t* sel, int32_t n,
+                          bool lanes_kept, Scratch* scratch) {
+  program_.program.EvalSel(start, sel, n, lanes_kept, &regs_);
+  if (!path_keys_.empty()) {
+    GatherPathSel(program_.group_path, start, sel, n, scratch,
+                  path_keys_.data());
+  }
+  for (size_t a = 0; a < factor_values_.size(); ++a) {
+    if (factor_values_[a].empty()) continue;
+    GatherPathSel(program_.factor_paths[a], start, sel, n, scratch,
+                  scratch->vals2.data());
+    const int64_t* input =
+        program_.program.Output(regs_, 1 + static_cast<int>(a));
+    for (int32_t k = 0; k < n; ++k) {
+      factor_values_[a][k] = input[k] * scratch->vals2[k];
+    }
+  }
+}
+
+void AggLanes::ComputeAll(int64_t start, int64_t len, const uint8_t* keep,
+                          Scratch* scratch) {
+  program_.program.EvalAll(start, len, keep, &regs_);
+  if (!path_keys_.empty()) {
+    GatherPathAll(program_.group_path, start, len, scratch,
+                  path_keys_.data());
+  }
+  for (size_t a = 0; a < factor_values_.size(); ++a) {
+    if (factor_values_[a].empty()) continue;
+    GatherPathAll(program_.factor_paths[a], start, len, scratch,
+                  scratch->vals2.data());
+    const int64_t* input =
+        program_.program.Output(regs_, 1 + static_cast<int>(a));
+    for (int64_t j = 0; j < len; ++j) {
+      factor_values_[a][j] = input[j] * scratch->vals2[j];
+    }
   }
 }
 
@@ -881,6 +922,17 @@ int64_t SumProductMaskedDispatch(const Column& a, const Column& b,
   });
 }
 
+// True when a row the mask keeps has a zero in `divisor`.
+bool KeptZeroDivisor(const Column& divisor, int64_t start, const uint8_t* cmp,
+                     int64_t len) {
+  return DispatchPhysical(divisor.type().physical, [&]<typename T>() {
+    const T* d = divisor.Data<T>() + start;
+    int64_t bad = 0;
+    for (int64_t j = 0; j < len; ++j) bad |= (d[j] == 0) & (cmp[j] != 0);
+    return bad != 0;
+  });
+}
+
 void AccumulateMinMax(AggKind kind, const int64_t* values, int32_t n,
                       int64_t* acc) {
   if (kind == AggKind::kMin) {
@@ -896,136 +948,108 @@ void AccumulateMinMax(AggKind kind, const int64_t* values, int32_t n,
 
 }  // namespace
 
-void AccumulateScalarSel(const Table& fact, VectorEvaluator* eval,
-                         const QueryPlan& plan,
-                         const std::vector<AggShape>& shapes,
-                         const std::vector<ResolvedPath>& factor_paths,
+void AccumulateScalarSel(const AggProgram& program, AggLanes* lanes,
                          int64_t start, const int32_t* sel, int32_t n,
                          Scratch* scratch, int64_t* acc) {
   if (n == 0) return;
+  lanes->ComputeSel(start, sel, n, /*lanes_kept=*/true, scratch);
+  const QueryPlan& plan = program.plan;
   for (size_t a = 0; a < plan.aggs.size(); ++a) {
     const AggSpec& agg = plan.aggs[a];
-    const AggShape& shape = shapes[a];
-    bool has_factor = !agg.path_factor.empty();
-
-    if (!has_factor && agg.kind == AggKind::kSum) {
-      // Fused fast paths (the paper's hand-written aggregation loops).
-      switch (shape.kind) {
-        case AggShape::Kind::kCol:
-          acc[a] += DispatchPhysical(
-              shape.a->type().physical, [&]<typename T>() {
-                return kernels::SumSel<T>(shape.a->Data<T>() + start, sel, n);
-              });
-          continue;
-        case AggShape::Kind::kProduct:
-          acc[a] += SumProductSelDispatch(*shape.a, *shape.b, start, sel, n,
-                                          /*quotient=*/false);
-          continue;
-        case AggShape::Kind::kQuotient:
-          acc[a] += SumProductSelDispatch(*shape.a, *shape.b, start, sel, n,
-                                          /*quotient=*/true);
-          continue;
-        default:
-          break;
-      }
+    const AggShape& shape = program.shapes[a];
+    // Fused fast paths (the paper's hand-written aggregation loops).
+    switch (shape.kind) {
+      case AggShape::Kind::kCol:
+        acc[a] += DispatchPhysical(shape.a->type().physical,
+                                   [&]<typename T>() {
+                                     return kernels::SumSel<T>(
+                                         shape.a->Data<T>() + start, sel, n);
+                                   });
+        continue;
+      case AggShape::Kind::kProduct:
+        acc[a] += SumProductSelDispatch(*shape.a, *shape.b, start, sel, n,
+                                        /*quotient=*/false);
+        continue;
+      case AggShape::Kind::kQuotient:
+        acc[a] += SumProductSelDispatch(*shape.a, *shape.b, start, sel, n,
+                                        /*quotient=*/true);
+        continue;
+      case AggShape::Kind::kGeneral:
+        break;
     }
-    if (!has_factor && agg.kind == AggKind::kCount) {
+    if (IsPlainCount(agg)) {
       acc[a] += n;
       continue;
     }
-
-    AggValuesSel(fact, eval, agg, shape, start, sel, n, scratch,
-                 scratch->vals.data());
-    if (has_factor) {
-      const ResolvedPath& path = factor_paths[a];
-      GatherPathSel(path, start, sel, n, scratch, scratch->vals2.data());
-      for (int32_t k = 0; k < n; ++k) {
-        scratch->vals[k] *= scratch->vals2[k];
-      }
-    }
+    const int64_t* values = lanes->values()[a];
     switch (agg.kind) {
       case AggKind::kSum:
       case AggKind::kCount:
-        for (int32_t k = 0; k < n; ++k) acc[a] += scratch->vals[k];
+        for (int32_t k = 0; k < n; ++k) acc[a] += values[k];
         break;
       case AggKind::kMin:
       case AggKind::kMax:
-        AccumulateMinMax(agg.kind, scratch->vals.data(), n, &acc[a]);
+        AccumulateMinMax(agg.kind, values, n, &acc[a]);
         break;
     }
   }
 }
 
-void AccumulateScalarMasked(const Table& fact, VectorEvaluator* eval,
-                            const QueryPlan& plan,
-                            const std::vector<AggShape>& shapes,
-                            const std::vector<ResolvedPath>& factor_paths,
+void AccumulateScalarMasked(const AggProgram& program, AggLanes* lanes,
                             int64_t start, const uint8_t* cmp, int64_t len,
-                            Scratch* scratch, int64_t* acc,
-                            const std::vector<uint8_t>* skip) {
+                            Scratch* scratch, int64_t* acc) {
+  lanes->ComputeAll(start, len, cmp, scratch);
+  const QueryPlan& plan = program.plan;
   for (size_t a = 0; a < plan.aggs.size(); ++a) {
-    if (skip != nullptr && (*skip)[a]) continue;
+    if (!program.skip.empty() && program.skip[a]) continue;
     const AggSpec& agg = plan.aggs[a];
-    const AggShape& shape = shapes[a];
-    bool has_factor = !agg.path_factor.empty();
-
-    if (!has_factor && agg.kind == AggKind::kSum) {
-      switch (shape.kind) {
-        case AggShape::Kind::kCol:
-          acc[a] += DispatchPhysical(
-              shape.a->type().physical, [&]<typename T>() {
-                return kernels::SumMasked<T>(shape.a->Data<T>() + start, cmp,
-                                             len);
-              });
-          continue;
-        case AggShape::Kind::kProduct:
-          acc[a] += SumProductMaskedDispatch(*shape.a, *shape.b, start, cmp,
-                                             len, /*quotient=*/false);
-          continue;
-        case AggShape::Kind::kQuotient:
-          acc[a] += SumProductMaskedDispatch(*shape.a, *shape.b, start, cmp,
-                                             len, /*quotient=*/true);
-          continue;
-        default:
-          break;
-      }
+    const AggShape& shape = program.shapes[a];
+    switch (shape.kind) {
+      case AggShape::Kind::kCol:
+        acc[a] += DispatchPhysical(shape.a->type().physical,
+                                   [&]<typename T>() {
+                                     return kernels::SumMasked<T>(
+                                         shape.a->Data<T>() + start, cmp,
+                                         len);
+                                   });
+        continue;
+      case AggShape::Kind::kProduct:
+        acc[a] += SumProductMaskedDispatch(*shape.a, *shape.b, start, cmp,
+                                           len, /*quotient=*/false);
+        continue;
+      case AggShape::Kind::kQuotient:
+        // The mask is final: a kept row keeps the oracle's division check.
+        SWOLE_DCHECK(!KeptZeroDivisor(*shape.b, start, cmp, len))
+            << "division by zero";
+        acc[a] += SumProductMaskedDispatch(*shape.a, *shape.b, start, cmp,
+                                           len, /*quotient=*/true);
+        continue;
+      case AggShape::Kind::kGeneral:
+        break;
     }
-    if (!has_factor && agg.kind == AggKind::kCount) {
+    if (IsPlainCount(agg)) {
       acc[a] += kernels::CountBytes(cmp, len);
       continue;
     }
-
-    // General masked path: compute every lane (wasted work by design).
-    AggValuesAll(fact, eval, agg, shape, start, len, scratch,
-                 scratch->vals.data());
-    if (has_factor) {
-      GatherPathAll(factor_paths[a], start, len, scratch,
-                    scratch->vals2.data());
-      for (int64_t j = 0; j < len; ++j) {
-        scratch->vals[j] *= scratch->vals2[j];
-      }
-    }
+    // General masked path: every lane computed (wasted work by design).
+    const int64_t* values = lanes->values()[a];
     switch (agg.kind) {
       case AggKind::kSum:
-        for (int64_t j = 0; j < len; ++j) acc[a] += scratch->vals[j] * cmp[j];
-        break;
       case AggKind::kCount:
-        for (int64_t j = 0; j < len; ++j) acc[a] += cmp[j];
+        for (int64_t j = 0; j < len; ++j) acc[a] += values[j] * cmp[j];
         break;
       case AggKind::kMin:
         // Masked lanes contribute the identity (branch-free select).
         for (int64_t j = 0; j < len; ++j) {
           int64_t m = -static_cast<int64_t>(cmp[j]);
-          int64_t v = (scratch->vals[j] & m) |
-                      (QueryResult::kMinIdentity & ~m);
+          int64_t v = (values[j] & m) | (QueryResult::kMinIdentity & ~m);
           if (v < acc[a]) acc[a] = v;
         }
         break;
       case AggKind::kMax:
         for (int64_t j = 0; j < len; ++j) {
           int64_t m = -static_cast<int64_t>(cmp[j]);
-          int64_t v = (scratch->vals[j] & m) |
-                      (QueryResult::kMaxIdentity & ~m);
+          int64_t v = (values[j] & m) | (QueryResult::kMaxIdentity & ~m);
           if (v > acc[a]) acc[a] = v;
         }
         break;
@@ -1119,45 +1143,116 @@ void GroupTable::RunSpillable(Fn&& fn) {
   }
 }
 
-void GroupTable::UpdateSel(const int64_t* keys,
-                           const std::vector<int64_t*>& values, int32_t n,
-                           bool prefetch) {
+namespace {
+
+// Aggregate inputs of a group update for a compile-time count kN, held in
+// locals so the per-lane payload adds unroll; kN == -1 is the runtime
+// count of the generic loop.
+template <int kN>
+class LaneInputs {
+ public:
+  LaneInputs(const int64_t* const* values, int /*count*/) {
+    for (int a = 0; a < kN; ++a) v_[a] = values[a];
+  }
+  static constexpr int size() { return kN; }
+  int64_t at(int a, int64_t lane) const { return v_[a][lane]; }
+
+ private:
+  const int64_t* v_[kN > 0 ? kN : 1];
+};
+
+template <>
+class LaneInputs<-1> {
+ public:
+  LaneInputs(const int64_t* const* values, int count)
+      : v_(values), count_(count) {}
+  int size() const { return count_; }
+  int64_t at(int a, int64_t lane) const { return v_[a][lane]; }
+
+ private:
+  const int64_t* const* v_;
+  int count_;
+};
+
+// Calls fn with the LaneInputs for `count` aggregates: a compile-time
+// count up to 8, the generic loop above.
+template <typename Fn>
+void WithLaneInputs(int count, const int64_t* const* values, Fn&& fn) {
+  switch (count) {
+    case 0:
+      return fn(LaneInputs<0>(values, count));
+    case 1:
+      return fn(LaneInputs<1>(values, count));
+    case 2:
+      return fn(LaneInputs<2>(values, count));
+    case 3:
+      return fn(LaneInputs<3>(values, count));
+    case 4:
+      return fn(LaneInputs<4>(values, count));
+    case 5:
+      return fn(LaneInputs<5>(values, count));
+    case 6:
+      return fn(LaneInputs<6>(values, count));
+    case 7:
+      return fn(LaneInputs<7>(values, count));
+    case 8:
+      return fn(LaneInputs<8>(values, count));
+    default:
+      return fn(LaneInputs<-1>(values, count));
+  }
+}
+
+// payload = [touched, agg0, agg1, ...]: touched += m, agg a += input * m.
+template <typename Inputs>
+SWOLE_ALWAYS_INLINE void AddMasked(int64_t* payload, const Inputs& in,
+                                   int64_t lane, int64_t m) {
+  payload[0] += m;
+  for (int a = 0; a < in.size(); ++a) payload[1 + a] += in.at(a, lane) * m;
+}
+
+// The unmasked form: touched += 1, agg a += input.
+template <typename Inputs>
+SWOLE_ALWAYS_INLINE void Add(int64_t* payload, const Inputs& in,
+                             int64_t lane) {
+  payload[0] += 1;
+  for (int a = 0; a < in.size(); ++a) payload[1 + a] += in.at(a, lane);
+}
+
+}  // namespace
+
+void GroupTable::UpdateSel(const int64_t* keys, const int64_t* const* values,
+                           int32_t n, bool prefetch) {
   RunSpillable([&] {
     int64_t** p = ProbeScratch(n);
     table_.GetOrInsertBatch(keys, n, p, prefetch);
-    for (int32_t k = 0; k < n; ++k) {
-      p[k][0] += 1;
-      for (int a = 0; a < num_aggs_; ++a) p[k][1 + a] += values[a][k];
-    }
+    WithLaneInputs(num_aggs_, values, [&](const auto& in) {
+      for (int32_t k = 0; k < n; ++k) Add(p[k], in, k);
+    });
   });
 }
 
 void GroupTable::UpdateMaskedValues(const int64_t* keys,
-                                    const std::vector<int64_t*>& values,
+                                    const int64_t* const* values,
                                     const uint8_t* cmp, int64_t len) {
   RunSpillable([&] {
     const int32_t n = static_cast<int32_t>(len);
     int64_t** p = ProbeScratch(n);
     table_.GetOrInsertBatch(keys, n, p, /*prefetch=*/true);
-    for (int32_t j = 0; j < n; ++j) {
-      int64_t m = cmp[j];
-      p[j][0] += m;
-      for (int a = 0; a < num_aggs_; ++a) p[j][1 + a] += values[a][j] * m;
-    }
+    WithLaneInputs(num_aggs_, values, [&](const auto& in) {
+      for (int32_t j = 0; j < n; ++j) AddMasked(p[j], in, j, cmp[j]);
+    });
   });
 }
 
 void GroupTable::UpdateMaskedKeys(const int64_t* masked_keys,
-                                  const std::vector<int64_t*>& values,
-                                  int64_t len) {
+                                  const int64_t* const* values, int64_t len) {
   RunSpillable([&] {
     const int32_t n = static_cast<int32_t>(len);
     int64_t** p = ProbeScratch(n);
     table_.GetOrInsertBatch(masked_keys, n, p, /*prefetch=*/true);
-    for (int32_t j = 0; j < n; ++j) {
-      p[j][0] += 1;
-      for (int a = 0; a < num_aggs_; ++a) p[j][1 + a] += values[a][j];
-    }
+    WithLaneInputs(num_aggs_, values, [&](const auto& in) {
+      for (int32_t j = 0; j < n; ++j) Add(p[j], in, j);
+    });
   });
 }
 
@@ -1208,33 +1303,34 @@ exec::MorselStats GroupTable::MergeJoinSlots(
 }
 
 void GroupTable::UpdateJoinMasked(const int64_t* keys,
-                                  const std::vector<int64_t*>& values,
+                                  const int64_t* const* values,
                                   const uint8_t* extra_mask, int64_t len) {
   int64_t* throwaway = table_.Find(HashTable::kMaskKey);
   SWOLE_DCHECK(throwaway != nullptr);
   const int32_t n = static_cast<int32_t>(len);
   int64_t** ptrs = ProbeScratch(n);
   table_.FindBatch(keys, n, ptrs, /*prefetch=*/true);
-  for (int32_t j = 0; j < n; ++j) {
-    int64_t found = ptrs[j] != nullptr ? 1 : 0;
-    int64_t* p = found ? ptrs[j] : throwaway;  // branch-free-ish select
-    int64_t m = found & (extra_mask != nullptr ? extra_mask[j] : 1);
-    p[0] += m;
-    for (int a = 0; a < num_aggs_; ++a) p[1 + a] += values[a][j] * m;
-  }
+  WithLaneInputs(num_aggs_, values, [&](const auto& in) {
+    for (int32_t j = 0; j < n; ++j) {
+      int64_t found = ptrs[j] != nullptr ? 1 : 0;
+      int64_t* p = found ? ptrs[j] : throwaway;  // branch-free-ish select
+      int64_t m = found & (extra_mask != nullptr ? extra_mask[j] : 1);
+      AddMasked(p, in, j, m);
+    }
+  });
 }
 
 void GroupTable::UpdateJoinSel(const int64_t* keys,
-                               const std::vector<int64_t*>& values,
-                               int32_t n, bool prefetch) {
+                               const int64_t* const* values, int32_t n,
+                               bool prefetch) {
   int64_t** ptrs = ProbeScratch(n);
   table_.FindBatch(keys, n, ptrs, prefetch);
-  for (int32_t k = 0; k < n; ++k) {
-    int64_t* p = ptrs[k];
-    if (p == nullptr) continue;  // traditional probe miss: skip (branch)
-    p[0] += 1;
-    for (int a = 0; a < num_aggs_; ++a) p[1 + a] += values[a][k];
-  }
+  WithLaneInputs(num_aggs_, values, [&](const auto& in) {
+    for (int32_t k = 0; k < n; ++k) {
+      if (ptrs[k] == nullptr) continue;  // traditional probe miss: skip
+      Add(ptrs[k], in, k);
+    }
+  });
 }
 
 std::unique_ptr<GroupTable> GroupTable::CloneKeysOnly() const {

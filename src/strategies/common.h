@@ -8,6 +8,7 @@
 #include "exec/kernels.h"
 #include "exec/query_context.h"
 #include "exec/scheduler.h"
+#include "expr/tile_program.h"
 #include "expr/vector_eval.h"
 #include "plan/plan.h"
 #include "plan/result.h"
@@ -39,7 +40,6 @@ struct Scratch {
   std::vector<int64_t> vals;   // aggregate values per lane
   std::vector<int64_t> vals2;  // second operand / path factors
   std::vector<int64_t> offs;   // fk offset chain work buffer
-  std::vector<int64_t> gath;   // gathered column buffer (override eval)
   std::vector<int64_t*> ptrs;  // batched hash-probe payload pointers
 };
 
@@ -249,9 +249,11 @@ void GatherPathAll(const ResolvedPath& path, int64_t start, int64_t len,
 
 // ---- Aggregate evaluation ----
 
-/// Recognized fused aggregate shapes (hot loops stay branch-free and typed).
+/// The aggregate shapes the fused scalar-sum kernels take: SUM of a column,
+/// of a product or of a quotient of two columns, without a path factor.
+/// Everything else is kGeneral and runs through the plan's AggProgram.
 struct AggShape {
-  enum class Kind : uint8_t { kCount, kCol, kProduct, kQuotient, kGeneral };
+  enum class Kind : uint8_t { kCol, kProduct, kQuotient, kGeneral };
   Kind kind = Kind::kGeneral;
   const Column* a = nullptr;
   const Column* b = nullptr;
@@ -259,39 +261,70 @@ struct AggShape {
 
 AggShape DetectAggShape(const Table& fact, const AggSpec& agg);
 
-/// Computes an aggregate's per-lane values for selected lanes into
-/// `out[0..n)`. (kCount produces 1s.)
-void AggValuesSel(const Table& fact, VectorEvaluator* eval,
-                  const AggSpec& agg, const AggShape& shape, int64_t start,
-                  const int32_t* sel, int32_t n, Scratch* scratch,
-                  int64_t* out);
+/// The plan's per-lane numeric work, compiled once per execution: the group
+/// key and every aggregate input in one TileProgram (structurally equal
+/// subtrees share a register), plus the resolved paths of a path group key
+/// and of path factors. Output 0 is the key expression (absent when the
+/// plan groups by a path or not at all); output 1 + a is aggregate a's
+/// input, the literal 1 for COUNT. A scalar plan leaves out the aggregates
+/// the fused kernels take, and those in `skip` (SWOLE's access-merged
+/// aggregates, summed at the call site).
+struct AggProgram {
+  AggProgram(const Catalog& catalog, const Table& fact, const QueryPlan& plan,
+             const std::vector<uint8_t>& skip = {});
 
-/// Computes per-lane values for the whole tile (pullup form — wasted work
-/// on masked lanes by design).
-void AggValuesAll(const Table& fact, VectorEvaluator* eval,
-                  const AggSpec& agg, const AggShape& shape, int64_t start,
-                  int64_t len, Scratch* scratch, int64_t* out);
+  const QueryPlan& plan;
+  std::vector<AggShape> shapes;
+  std::vector<uint8_t> skip;
+  ResolvedPath group_path;
+  std::vector<ResolvedPath> factor_paths;
+  TileProgram program;
+};
+
+/// A worker's lanes of an AggProgram: the program's registers, the buffers
+/// for path keys and path-factor products, and the per-aggregate value
+/// pointers the group updates read, fixed for the worker's lifetime.
+class AggLanes {
+ public:
+  AggLanes(const AggProgram& program, int64_t tile_size);
+  AggLanes(const AggLanes&) = delete;  // values() points into regs_
+
+  /// Key and aggregate inputs for lanes start + sel[k], k < n. `lanes_kept`
+  /// says the plan keeps every selected row (no later probe drops one),
+  /// which keeps the oracle's division check on them.
+  void ComputeSel(int64_t start, const int32_t* sel, int32_t n,
+                  bool lanes_kept, Scratch* scratch);
+
+  /// Key and aggregate inputs for every lane of [start, start+len) (pullup
+  /// form — wasted work on masked lanes by design). `keep`, when set, is a
+  /// final mask: its rows keep the division check.
+  void ComputeAll(int64_t start, int64_t len, const uint8_t* keep,
+                  Scratch* scratch);
+
+  const int64_t* keys() const { return keys_; }
+  const int64_t* const* values() const { return values_.data(); }
+
+ private:
+  const AggProgram& program_;
+  TileProgram::Registers regs_;
+  std::vector<int64_t> path_keys_;
+  std::vector<std::vector<int64_t>> factor_values_;  // per aggregate
+  const int64_t* keys_ = nullptr;
+  std::vector<const int64_t*> values_;
+};
 
 /// Accumulates scalar aggregates over a selection vector, using fused
-/// kernels where the shape allows.
-void AccumulateScalarSel(const Table& fact, VectorEvaluator* eval,
-                         const QueryPlan& plan,
-                         const std::vector<AggShape>& shapes,
-                         const std::vector<ResolvedPath>& factor_paths,
+/// kernels where the shape allows. The lanes are final.
+void AccumulateScalarSel(const AggProgram& program, AggLanes* lanes,
                          int64_t start, const int32_t* sel, int32_t n,
                          Scratch* scratch, int64_t* acc);
 
 /// Accumulates scalar aggregates with value masking (§III-A): every lane is
-/// computed, the mask multiplies the contribution. Aggregates with
-/// `skip[a] != 0` are left untouched (access merging handles them with
-/// fused kernels at the call site).
-void AccumulateScalarMasked(const Table& fact, VectorEvaluator* eval,
-                            const QueryPlan& plan,
-                            const std::vector<AggShape>& shapes,
-                            const std::vector<ResolvedPath>& factor_paths,
+/// computed, the final mask `cmp` multiplies the contribution. Skipped
+/// aggregates are left untouched.
+void AccumulateScalarMasked(const AggProgram& program, AggLanes* lanes,
                             int64_t start, const uint8_t* cmp, int64_t len,
-                            Scratch* scratch, int64_t* acc,
-                            const std::vector<uint8_t>* skip = nullptr);
+                            Scratch* scratch, int64_t* acc);
 
 // ---- Grouped aggregation ----
 
@@ -307,31 +340,34 @@ class GroupTable {
              exec::QueryContext* ctx = nullptr,
              const char* site = "group_table");
 
+  // The five updates take `values[a]`, aggregate a's per-lane inputs, and
+  // are specialized on the aggregate count: counts up to 8 unroll the
+  // per-lane payload adds, larger counts run one generic loop. The adds and
+  // their order are the same either way.
+
   /// Insert-mode update for compacted lanes (plain group-by).
   /// keys[k] / values[a][k] refer to the k-th selected lane.
-  void UpdateSel(const int64_t* keys, const std::vector<int64_t*>& values,
+  void UpdateSel(const int64_t* keys, const int64_t* const* values,
                  int32_t n, bool prefetch);
 
   /// Insert-mode masked update over all lanes: contribution multiplied by
   /// cmp[j] (value masking: keys are real, values masked).
-  void UpdateMaskedValues(const int64_t* keys,
-                          const std::vector<int64_t*>& values,
+  void UpdateMaskedValues(const int64_t* keys, const int64_t* const* values,
                           const uint8_t* cmp, int64_t len);
 
   /// Insert-mode update over all lanes with pre-masked keys (key masking:
   /// non-qualifying lanes carry HashTable::kMaskKey; values unmasked).
   void UpdateMaskedKeys(const int64_t* masked_keys,
-                        const std::vector<int64_t*>& values, int64_t len);
+                        const int64_t* const* values, int64_t len);
 
   /// Join-mode (groupjoin probe): lanes whose key is absent fall through to
   /// the throwaway entry with a zero mask. `extra_mask` may be null.
-  void UpdateJoinMasked(const int64_t* keys,
-                        const std::vector<int64_t*>& values,
+  void UpdateJoinMasked(const int64_t* keys, const int64_t* const* values,
                         const uint8_t* extra_mask, int64_t len);
 
   /// Join-mode over compacted lanes (hash strategies): lanes with no match
   /// are skipped by branching, matching the traditional probe loop.
-  void UpdateJoinSel(const int64_t* keys, const std::vector<int64_t*>& values,
+  void UpdateJoinSel(const int64_t* keys, const int64_t* const* values,
                      int32_t n, bool prefetch);
 
   /// Deletes `key` (eager aggregation's non-qualifying key removal).

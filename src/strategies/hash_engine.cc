@@ -13,7 +13,6 @@
 
 namespace swole {
 
-using pipeline::AggShape;
 using pipeline::GroupTable;
 using pipeline::ResolvedPath;
 using pipeline::Scratch;
@@ -132,21 +131,7 @@ Result<QueryResult> HashStrategyEngine::ExecuteGoverned(
   phase.reset();  // build
 
   // ---- Probe-phase metadata ----
-  std::vector<AggShape> shapes;
-  std::vector<ResolvedPath> factor_paths(plan.aggs.size());
-  for (size_t a = 0; a < plan.aggs.size(); ++a) {
-    shapes.push_back(pipeline::DetectAggShape(fact, plan.aggs[a]));
-    if (!plan.aggs[a].path_factor.empty()) {
-      factor_paths[a] = pipeline::ResolvePath(
-          catalog_, fact, *plan.FindPath(plan.aggs[a].path_factor));
-    }
-  }
-
-  ResolvedPath group_path;
-  if (!plan.group_by_path.empty()) {
-    group_path = pipeline::ResolvePath(catalog_, fact,
-                                       *plan.FindPath(plan.group_by_path));
-  }
+  const pipeline::AggProgram agg_program(catalog_, fact, plan);
 
   std::vector<std::pair<ResolvedPath, ResolvedPath>> equality_paths;
   for (const PathEquality& eq : plan.path_equalities) {
@@ -164,9 +149,8 @@ Result<QueryResult> HashStrategyEngine::ExecuteGoverned(
   struct ProbeCtx {
     VectorEvaluator eval;
     Scratch scratch;
+    pipeline::AggLanes lanes;
     std::vector<std::vector<uint8_t>> clause_masks;
-    std::vector<std::vector<int64_t>> value_storage;
-    std::vector<int64_t*> value_ptrs;
     std::vector<int64_t> scalar_acc;
     std::unique_ptr<GroupTable> owned_groups;
     GroupTable* groups = nullptr;
@@ -176,25 +160,21 @@ Result<QueryResult> HashStrategyEngine::ExecuteGoverned(
     int32_t carry_n = 0;
     int64_t carry_mask_start = 0;  // tile start of the lanes in `carry`
 
-    ProbeCtx(const Table& fact_table, int64_t tile_size)
+    ProbeCtx(const Table& fact_table, const pipeline::AggProgram& program,
+             int64_t tile_size)
         : eval(fact_table, tile_size),
           scratch(tile_size),
+          lanes(program, tile_size),
           carry(tile_size) {}
   };
 
   const bool join_mode = groupjoin_dim >= 0;
   std::vector<std::unique_ptr<ProbeCtx>> ctxs(num_threads);
   for (int w = 0; w < num_threads; ++w) {
-    auto ctx = std::make_unique<ProbeCtx>(fact, tile);
+    auto ctx = std::make_unique<ProbeCtx>(fact, agg_program, tile);
     if (plan.disjunctive.has_value()) {
       ctx->clause_masks.assign(plan.disjunctive->clauses.size(),
                                std::vector<uint8_t>(tile));
-    }
-    ctx->value_storage.resize(plan.aggs.size());
-    ctx->value_ptrs.resize(plan.aggs.size());
-    for (size_t a = 0; a < plan.aggs.size(); ++a) {
-      ctx->value_storage[a].resize(tile);
-      ctx->value_ptrs[a] = ctx->value_storage[a].data();
     }
     ctx->scalar_acc.resize(plan.aggs.size());
     pipeline::InitScalarAcc(plan, ctx->scalar_acc.data());
@@ -312,47 +292,18 @@ Result<QueryResult> HashStrategyEngine::ExecuteGoverned(
 
     // Aggregation.
     if (!plan.HasGroupBy()) {
-      pipeline::AccumulateScalarSel(fact, &eval, plan, shapes, factor_paths,
-                                    base, sel, n, &scratch,
-                                    ctx.scalar_acc.data());
+      pipeline::AccumulateScalarSel(agg_program, &ctx.lanes, base, sel, n,
+                                    &scratch, ctx.scalar_acc.data());
       return;
     }
-
-    // Group keys per lane.
-    if (!plan.group_by_path.empty()) {
-      pipeline::GatherPathSel(group_path, base, sel, n, &scratch,
-                              scratch.keys.data());
-    } else if (plan.group_by->kind == ExprKind::kColumnRef) {
-      const Column& col = fact.ColumnRef(plan.group_by->column);
-      DispatchPhysical(col.type().physical, [&]<typename T>() {
-        kernels::Gather<T>(col.Data<T>() + base, sel, n,
-                           scratch.keys.data());
-      });
-    } else {
-      // General key expression: compacted evaluation over gathered refs.
-      AggSpec key_spec;
-      key_spec.kind = AggKind::kSum;
-      key_spec.expr = plan.group_by->Clone();
-      AggShape key_shape = pipeline::DetectAggShape(fact, key_spec);
-      pipeline::AggValuesSel(fact, &eval, key_spec, key_shape, base, sel, n,
-                             &scratch, scratch.keys.data());
-    }
-
-    for (size_t a = 0; a < plan.aggs.size(); ++a) {
-      pipeline::AggValuesSel(fact, &eval, plan.aggs[a], shapes[a], base, sel,
-                             n, &scratch, ctx.value_ptrs[a]);
-      if (!plan.aggs[a].path_factor.empty()) {
-        pipeline::GatherPathSel(factor_paths[a], base, sel, n, &scratch,
-                                scratch.vals2.data());
-        for (int32_t k = 0; k < n; ++k) {
-          ctx.value_ptrs[a][k] *= scratch.vals2[k];
-        }
-      }
-    }
+    // A join-mode lane can still miss the groupjoin probe, so its values
+    // are computed for a row the plan may discard.
+    ctx.lanes.ComputeSel(base, sel, n, /*lanes_kept=*/!join_mode, &scratch);
     if (join_mode) {
-      ctx.groups->UpdateJoinSel(scratch.keys.data(), ctx.value_ptrs, n, rof);
+      ctx.groups->UpdateJoinSel(ctx.lanes.keys(), ctx.lanes.values(), n,
+                                rof);
     } else {
-      ctx.groups->UpdateSel(scratch.keys.data(), ctx.value_ptrs, n, rof);
+      ctx.groups->UpdateSel(ctx.lanes.keys(), ctx.lanes.values(), n, rof);
     }
   };
 

@@ -76,12 +76,14 @@ struct MergeCandidate {
   bool column_is_lhs = false;  // position of the merged column in a product
 };
 
-// Masked key production over an int64 key buffer (key masking over keys
-// produced by paths or key expressions).
-void MaskKeysInPlace(int64_t* keys, const uint8_t* cmp, int64_t len) {
+// Key masking: out[j] = keys[j] where cmp[j], else HashTable::kMaskKey.
+// Writes a separate buffer, since `keys` may be a program register shared
+// with an aggregate input.
+void MaskKeys(const int64_t* keys, const uint8_t* cmp, int64_t len,
+              int64_t* out) {
   for (int64_t j = 0; j < len; ++j) {
     int64_t m = -static_cast<int64_t>(cmp[j]);
-    keys[j] = (keys[j] & m) | (HashTable::kMaskKey & ~m);
+    out[j] = (keys[j] & m) | (HashTable::kMaskKey & ~m);
   }
 }
 
@@ -496,20 +498,6 @@ Result<QueryResult> SwoleStrategy::ExecuteGeneral(
     disjunctive_offsets = index->offsets();
   }
 
-  std::vector<AggShape> shapes;
-  std::vector<ResolvedPath> factor_paths(plan.aggs.size());
-  for (size_t a = 0; a < plan.aggs.size(); ++a) {
-    shapes.push_back(pipeline::DetectAggShape(fact, plan.aggs[a]));
-    if (!plan.aggs[a].path_factor.empty()) {
-      factor_paths[a] = pipeline::ResolvePath(
-          catalog_, fact, *plan.FindPath(plan.aggs[a].path_factor));
-    }
-  }
-  ResolvedPath group_path;
-  if (!plan.group_by_path.empty()) {
-    group_path = pipeline::ResolvePath(catalog_, fact,
-                                       *plan.FindPath(plan.group_by_path));
-  }
   std::vector<std::pair<ResolvedPath, ResolvedPath>> equality_paths;
   for (const PathEquality& eq : plan.path_equalities) {
     equality_paths.emplace_back(
@@ -555,14 +543,18 @@ Result<QueryResult> SwoleStrategy::ExecuteGeneral(
 
   const bool mask_mode = analysis.agg_choice != AggChoice::kHybridFallback;
 
+  // Access-merged aggregates are summed below, outside the program.
+  const pipeline::AggProgram agg_program(
+      catalog_, fact, plan,
+      merging ? analysis.merged_aggs : std::vector<uint8_t>{});
+
   // Per-worker probe context: every scheduler participant aggregates into
   // a private state; worker 0 owns the primary (seeded) group table and
   // the others merge into it in worker order after the scan.
   struct ProbeCtx {
     VectorEvaluator eval;
     Scratch scratch;
-    std::vector<std::vector<int64_t>> value_storage;
-    std::vector<int64_t*> value_ptrs;
+    pipeline::AggLanes lanes;
     std::vector<int64_t> scalar_acc;
     std::vector<std::vector<int64_t>> merge_tmp;
     std::vector<uint8_t> disjunctive_mask;
@@ -570,22 +562,18 @@ Result<QueryResult> SwoleStrategy::ExecuteGeneral(
     std::unique_ptr<GroupTable> owned_groups;
     GroupTable* groups = nullptr;
 
-    ProbeCtx(const Table& fact_table, int64_t tile_size)
+    ProbeCtx(const Table& fact_table, const pipeline::AggProgram& program,
+             int64_t tile_size)
         : eval(fact_table, tile_size),
           scratch(tile_size),
+          lanes(program, tile_size),
           disjunctive_mask(tile_size),
           clause_fact_mask(tile_size) {}
   };
 
   std::vector<std::unique_ptr<ProbeCtx>> ctxs(num_threads);
   for (int w = 0; w < num_threads; ++w) {
-    auto ctx = std::make_unique<ProbeCtx>(fact, tile);
-    ctx->value_storage.resize(plan.aggs.size());
-    ctx->value_ptrs.resize(plan.aggs.size());
-    for (size_t a = 0; a < plan.aggs.size(); ++a) {
-      ctx->value_storage[a].resize(tile);
-      ctx->value_ptrs[a] = ctx->value_storage[a].data();
-    }
+    auto ctx = std::make_unique<ProbeCtx>(fact, agg_program, tile);
     ctx->scalar_acc.resize(plan.aggs.size());
     pipeline::InitScalarAcc(plan, ctx->scalar_acc.data());
     ctx->merge_tmp.resize(analysis.merges.size());
@@ -611,7 +599,7 @@ Result<QueryResult> SwoleStrategy::ExecuteGeneral(
   auto process_tile = [&](ProbeCtx& ctx, int64_t start, int64_t len) {
     VectorEvaluator& eval = ctx.eval;
     Scratch& scratch = ctx.scratch;
-    std::vector<int64_t*>& value_ptrs = ctx.value_ptrs;
+    pipeline::AggLanes& lanes = ctx.lanes;
     std::vector<int64_t>& scalar_acc = ctx.scalar_acc;
     std::vector<std::vector<int64_t>>& merge_tmp = ctx.merge_tmp;
     std::vector<uint8_t>& disjunctive_mask = ctx.disjunctive_mask;
@@ -722,7 +710,7 @@ Result<QueryResult> SwoleStrategy::ExecuteGeneral(
               rhs_tmp = merge_tmp[m].data();
             }
           }
-          const AggShape& shape = shapes[a];
+          const AggShape& shape = agg_program.shapes[a];
           int64_t partial = 0;
           if (shape.kind == AggShape::Kind::kCol) {
             partial =
@@ -742,41 +730,19 @@ Result<QueryResult> SwoleStrategy::ExecuteGeneral(
           }
           scalar_acc[a] += partial;
         }
-        pipeline::AccumulateScalarMasked(
-            fact, &eval, plan, shapes, factor_paths, start, cmp, len,
-            &scratch, scalar_acc.data(),
-            merging ? &analysis.merged_aggs : nullptr);
+        pipeline::AccumulateScalarMasked(agg_program, &lanes, start, cmp,
+                                         len, &scratch, scalar_acc.data());
         return;
       }
 
-      // Grouped: keys for every lane (pullup), masked update.
-      int64_t* keys = scratch.keys.data();
-      if (!plan.group_by_path.empty()) {
-        pipeline::GatherPathAll(group_path, start, len, &scratch, keys);
-      } else if (plan.group_by->kind == ExprKind::kColumnRef) {
-        const Column& col = fact.ColumnRef(plan.group_by->column);
-        DispatchPhysical(col.type().physical, [&]<typename T>() {
-          kernels::Widen<T>(col.Data<T>() + start, len, keys);
-        });
-      } else {
-        eval.EvalNumeric(*plan.group_by, start, len, keys);
-      }
-      for (size_t a = 0; a < plan.aggs.size(); ++a) {
-        pipeline::AggValuesAll(fact, &eval, plan.aggs[a], shapes[a], start,
-                               len, &scratch, value_ptrs[a]);
-        if (!plan.aggs[a].path_factor.empty()) {
-          pipeline::GatherPathAll(factor_paths[a], start, len, &scratch,
-                                  scratch.vals2.data());
-          for (int64_t j = 0; j < len; ++j) {
-            value_ptrs[a][j] *= scratch.vals2[j];
-          }
-        }
-      }
+      // Grouped: keys and inputs for every lane (pullup), masked update.
+      // The mask is final, so the rows it keeps keep the division check.
+      lanes.ComputeAll(start, len, cmp, &scratch);
       if (analysis.agg_choice == AggChoice::kKeyMasking) {
-        MaskKeysInPlace(keys, cmp, len);
-        groups->UpdateMaskedKeys(keys, value_ptrs, len);
+        MaskKeys(lanes.keys(), cmp, len, scratch.keys.data());
+        groups->UpdateMaskedKeys(scratch.keys.data(), lanes.values(), len);
       } else {
-        groups->UpdateMaskedValues(keys, value_ptrs, cmp, len);
+        groups->UpdateMaskedValues(lanes.keys(), lanes.values(), cmp, len);
       }
       return;
     }
@@ -869,39 +835,14 @@ Result<QueryResult> SwoleStrategy::ExecuteGeneral(
     if (n == 0) return;
 
     if (!plan.HasGroupBy()) {
-      pipeline::AccumulateScalarSel(fact, &eval, plan, shapes, factor_paths,
-                                    start, scratch.sel.data(), n, &scratch,
+      pipeline::AccumulateScalarSel(agg_program, &lanes, start,
+                                    scratch.sel.data(), n, &scratch,
                                     scalar_acc.data());
       return;
     }
-    if (!plan.group_by_path.empty()) {
-      pipeline::GatherPathSel(group_path, start, scratch.sel.data(), n,
-                              &scratch, scratch.keys.data());
-    } else if (plan.group_by->kind == ExprKind::kColumnRef) {
-      const Column& col = fact.ColumnRef(plan.group_by->column);
-      DispatchPhysical(col.type().physical, [&]<typename T>() {
-        kernels::Gather<T>(col.Data<T>() + start, scratch.sel.data(), n,
-                           scratch.keys.data());
-      });
-    } else {
-      AggSpec key_spec;
-      key_spec.kind = AggKind::kSum;
-      key_spec.expr = plan.group_by->Clone();
-      AggShape key_shape = pipeline::DetectAggShape(fact, key_spec);
-      pipeline::AggValuesSel(fact, &eval, key_spec, key_shape, start,
-                             scratch.sel.data(), n, &scratch,
-                             scratch.keys.data());
-    }
-    for (size_t a = 0; a < plan.aggs.size(); ++a) {
-      pipeline::AggValuesSel(fact, &eval, plan.aggs[a], shapes[a], start,
-                             scratch.sel.data(), n, &scratch, value_ptrs[a]);
-      if (!plan.aggs[a].path_factor.empty()) {
-        pipeline::GatherPathSel(factor_paths[a], start, scratch.sel.data(),
-                                n, &scratch, scratch.vals2.data());
-        for (int32_t k = 0; k < n; ++k) value_ptrs[a][k] *= scratch.vals2[k];
-      }
-    }
-    groups->UpdateSel(scratch.keys.data(), value_ptrs, n, false);
+    lanes.ComputeSel(start, scratch.sel.data(), n, /*lanes_kept=*/true,
+                     &scratch);
+    groups->UpdateSel(lanes.keys(), lanes.values(), n, false);
   };
 
   phase.reset();  // build
@@ -1006,12 +947,8 @@ Result<QueryResult> SwoleStrategy::ExecuteGroupjoin(
     other_offsets.push_back(index->offsets());
   }
 
-  std::vector<AggShape> shapes;
-  for (const AggSpec& agg : plan.aggs) {
-    shapes.push_back(pipeline::DetectAggShape(fact, agg));
-  }
-
-  const Column& fk = fact.ColumnRef(gdim.hop.fk_column);
+  // The key (the groupjoin fk) and the aggregate inputs.
+  const pipeline::AggProgram agg_program(catalog_, fact, plan);
   const bool hybrid_fallback =
       analysis.agg_choice == AggChoice::kHybridFallback;
 
@@ -1021,24 +958,20 @@ Result<QueryResult> SwoleStrategy::ExecuteGroupjoin(
   struct ProbeCtx {
     VectorEvaluator eval;
     Scratch scratch;
-    std::vector<std::vector<int64_t>> value_storage;
-    std::vector<int64_t*> value_ptrs;
+    pipeline::AggLanes lanes;
     std::unique_ptr<GroupTable> owned_groups;
     GroupTable* groups = nullptr;
 
-    ProbeCtx(const Table& fact_table, int64_t tile_size)
-        : eval(fact_table, tile_size), scratch(tile_size) {}
+    ProbeCtx(const Table& fact_table, const pipeline::AggProgram& program,
+             int64_t tile_size)
+        : eval(fact_table, tile_size),
+          scratch(tile_size),
+          lanes(program, tile_size) {}
   };
 
   std::vector<std::unique_ptr<ProbeCtx>> ctxs(num_threads);
   for (int w = 0; w < num_threads; ++w) {
-    auto ctx = std::make_unique<ProbeCtx>(fact, tile);
-    ctx->value_storage.resize(plan.aggs.size());
-    ctx->value_ptrs.resize(plan.aggs.size());
-    for (size_t a = 0; a < plan.aggs.size(); ++a) {
-      ctx->value_storage[a].resize(tile);
-      ctx->value_ptrs[a] = ctx->value_storage[a].data();
-    }
+    auto ctx = std::make_unique<ProbeCtx>(fact, agg_program, tile);
     if (w == 0) {
       ctx->groups = &groups;
     } else {
@@ -1051,9 +984,11 @@ Result<QueryResult> SwoleStrategy::ExecuteGroupjoin(
   auto process_tile = [&](ProbeCtx& ctx, int64_t start, int64_t len) {
     VectorEvaluator& eval = ctx.eval;
     Scratch& scratch = ctx.scratch;
-    std::vector<int64_t*>& value_ptrs = ctx.value_ptrs;
+    pipeline::AggLanes& lanes = ctx.lanes;
     GroupTable& groups = *ctx.groups;
 
+    // A lane whose key misses the groupjoin table is discarded by the
+    // update, after its inputs are computed: no lane is final here.
     if (!hybrid_fallback) {
       uint8_t* cmp = scratch.cmp.data();
       pipeline::FilterToMask(&eval, analysis.str_split.scan_filter.get(),
@@ -1071,19 +1006,13 @@ Result<QueryResult> SwoleStrategy::ExecuteGroupjoin(
         kernels::StrLikeTileAnd(text.bytes(), text.offsets(), start, len,
                                 eval.CompiledLikeFor(*pred), cmp);
       }
-      int64_t* keys = scratch.keys.data();
-      DispatchPhysical(fk.type().physical, [&]<typename T>() {
-        kernels::Widen<T>(fk.Data<T>() + start, len, keys);
-      });
-      for (size_t a = 0; a < plan.aggs.size(); ++a) {
-        pipeline::AggValuesAll(fact, &eval, plan.aggs[a], shapes[a], start,
-                               len, &scratch, value_ptrs[a]);
-      }
+      lanes.ComputeAll(start, len, /*keep=*/nullptr, &scratch);
       if (analysis.agg_choice == AggChoice::kKeyMasking) {
-        MaskKeysInPlace(keys, cmp, len);
-        groups.UpdateJoinMasked(keys, value_ptrs, nullptr, len);
+        MaskKeys(lanes.keys(), cmp, len, scratch.keys.data());
+        groups.UpdateJoinMasked(scratch.keys.data(), lanes.values(), nullptr,
+                                len);
       } else {
-        groups.UpdateJoinMasked(keys, value_ptrs, cmp, len);
+        groups.UpdateJoinMasked(lanes.keys(), lanes.values(), cmp, len);
       }
       return;
     }
@@ -1114,15 +1043,9 @@ Result<QueryResult> SwoleStrategy::ExecuteGroupjoin(
                                scratch.cmp2.data(), n);
     }
     if (n == 0) return;
-    DispatchPhysical(fk.type().physical, [&]<typename T>() {
-      kernels::Gather<T>(fk.Data<T>() + start, scratch.sel.data(), n,
-                         scratch.keys.data());
-    });
-    for (size_t a = 0; a < plan.aggs.size(); ++a) {
-      pipeline::AggValuesSel(fact, &eval, plan.aggs[a], shapes[a], start,
-                             scratch.sel.data(), n, &scratch, value_ptrs[a]);
-    }
-    groups.UpdateJoinSel(scratch.keys.data(), value_ptrs, n, false);
+    lanes.ComputeSel(start, scratch.sel.data(), n, /*lanes_kept=*/false,
+                     &scratch);
+    groups.UpdateJoinSel(lanes.keys(), lanes.values(), n, false);
   };
 
   phase.reset();  // build
@@ -1181,12 +1104,10 @@ Result<QueryResult> SwoleStrategy::ExecuteEagerAggregation(
 
   const DimJoin& dim = plan.dims[0];
   const Table& dim_table = catalog_.TableRef(dim.hop.to_table);
-  const Column& fk = fact.ColumnRef(dim.hop.fk_column);
 
-  std::vector<AggShape> shapes;
-  for (const AggSpec& agg : plan.aggs) {
-    shapes.push_back(pipeline::DetectAggShape(fact, agg));
-  }
+  // The key (the join fk) and the aggregate inputs. Phase 2 deletes keys,
+  // so no phase-1 lane is final.
+  const pipeline::AggProgram agg_program(catalog_, fact, plan);
 
   GroupTable groups(plan, dim_table.num_rows(), qctx);
 
@@ -1216,22 +1137,17 @@ Result<QueryResult> SwoleStrategy::ExecuteEagerAggregation(
   struct EaCtx {
     VectorEvaluator eval;
     Scratch scratch;
-    std::vector<std::vector<int64_t>> value_storage;
-    std::vector<int64_t*> value_ptrs;
+    pipeline::AggLanes lanes;
     std::unique_ptr<GroupTable> owned_groups;
     GroupTable* groups = nullptr;
-    EaCtx(const Table& fact, int64_t tile) : eval(fact, tile), scratch(tile) {}
+    EaCtx(const Table& fact, const pipeline::AggProgram& program,
+          int64_t tile)
+        : eval(fact, tile), scratch(tile), lanes(program, tile) {}
   };
   std::vector<std::unique_ptr<EaCtx>> ctxs(num_threads);
   for (int w = 0; w < num_threads; ++w) {
-    ctxs[w] = std::make_unique<EaCtx>(fact, tile);
+    ctxs[w] = std::make_unique<EaCtx>(fact, agg_program, tile);
     EaCtx& ctx = *ctxs[w];
-    ctx.value_storage.resize(plan.aggs.size());
-    ctx.value_ptrs.resize(plan.aggs.size());
-    for (size_t a = 0; a < plan.aggs.size(); ++a) {
-      ctx.value_storage[a].resize(tile);
-      ctx.value_ptrs[a] = ctx.value_storage[a].data();
-    }
     if (w == 0) {
       ctx.groups = &groups;
     } else {
@@ -1244,7 +1160,7 @@ Result<QueryResult> SwoleStrategy::ExecuteEagerAggregation(
   auto process_tile = [&](EaCtx& ctx, int64_t start, int64_t len) {
     VectorEvaluator& eval = ctx.eval;
     Scratch& scratch = ctx.scratch;
-    std::vector<int64_t*>& value_ptrs = ctx.value_ptrs;
+    pipeline::AggLanes& lanes = ctx.lanes;
     GroupTable& groups = *ctx.groups;
 
     if (plan.fact_filter != nullptr &&
@@ -1254,37 +1170,24 @@ Result<QueryResult> SwoleStrategy::ExecuteEagerAggregation(
                                            len, &scratch,
                                            scratch.sel.data());
       if (n == 0) return;
-      DispatchPhysical(fk.type().physical, [&]<typename T>() {
-        kernels::Gather<T>(fk.Data<T>() + start, scratch.sel.data(), n,
-                           scratch.keys.data());
-      });
-      for (size_t a = 0; a < plan.aggs.size(); ++a) {
-        pipeline::AggValuesSel(fact, &eval, plan.aggs[a], shapes[a], start,
-                               scratch.sel.data(), n, &scratch,
-                               value_ptrs[a]);
-      }
-      groups.UpdateSel(scratch.keys.data(), value_ptrs, n, false);
+      lanes.ComputeSel(start, scratch.sel.data(), n, /*lanes_kept=*/false,
+                       &scratch);
+      groups.UpdateSel(lanes.keys(), lanes.values(), n, false);
       return;
     }
 
-    int64_t* keys = scratch.keys.data();
-    DispatchPhysical(fk.type().physical, [&]<typename T>() {
-      kernels::Widen<T>(fk.Data<T>() + start, len, keys);
-    });
-    for (size_t a = 0; a < plan.aggs.size(); ++a) {
-      pipeline::AggValuesAll(fact, &eval, plan.aggs[a], shapes[a], start,
-                             len, &scratch, value_ptrs[a]);
-    }
+    lanes.ComputeAll(start, len, /*keep=*/nullptr, &scratch);
     if (plan.fact_filter == nullptr) {
-      groups.UpdateMaskedKeys(keys, value_ptrs, len);  // unmasked keys
+      groups.UpdateMaskedKeys(lanes.keys(), lanes.values(), len);  // unmasked
     } else {
       pipeline::FilterToMask(&eval, plan.fact_filter.get(), start, len,
                              scratch.cmp.data());
       if (sub_choice == AggChoice::kKeyMasking) {
-        MaskKeysInPlace(keys, scratch.cmp.data(), len);
-        groups.UpdateMaskedKeys(keys, value_ptrs, len);
+        MaskKeys(lanes.keys(), scratch.cmp.data(), len, scratch.keys.data());
+        groups.UpdateMaskedKeys(scratch.keys.data(), lanes.values(), len);
       } else {
-        groups.UpdateMaskedValues(keys, value_ptrs, scratch.cmp.data(), len);
+        groups.UpdateMaskedValues(lanes.keys(), lanes.values(),
+                                  scratch.cmp.data(), len);
       }
     }
   };

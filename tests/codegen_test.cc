@@ -258,6 +258,41 @@ TEST_F(CodegenTest, TpchQ1AndQ6CompileAndMatchOracle) {
   }
 }
 
+TEST(CodegenDivisionTest, BranchFreeLanesSkipZeroDivisorsOfRejectedRows) {
+  // b is 0 on every 7th row and `b <> 0` rejects exactly those rows, but
+  // SWOLE's value-masked lane loop divides every lane first. The kernel
+  // itself must answer: no trap, no interpreted fallback.
+  Catalog catalog;
+  auto table = std::make_shared<Table>("t");
+  auto a = std::make_unique<Column>("a", ColumnType::Int(PhysicalType::kInt32));
+  auto b = std::make_unique<Column>("b", ColumnType::Int(PhysicalType::kInt32));
+  for (int64_t i = 0; i < 4096; ++i) {
+    a->Append((i * 7919) % 2001 - 1000);
+    b->Append(i % 7 == 0 ? 0 : 1 + i % 5);
+  }
+  table->AddColumn(std::move(a)).CheckOK();
+  table->AddColumn(std::move(b)).CheckOK();
+  catalog.AddTable(table).CheckOK();
+
+  QueryPlan plan;
+  plan.name = "jit_guarded_division";
+  plan.fact_table = "t";
+  plan.fact_filter = Ne(Col("b"), Lit(0));
+  plan.aggs.emplace_back(AggKind::kSum, Div(Add(Col("a"), Lit(1)), Col("b")),
+                         "s");
+  QueryResult expected = ReferenceEngine(catalog).Execute(plan).value();
+
+  GeneratorOptions options;
+  options.strategy = StrategyKind::kSwole;
+  options.agg_choice = AggChoice::kValueMasking;
+  codegen::ExecutionReport report;
+  Result<QueryResult> actual =
+      codegen::ExecuteWithFallback(plan, catalog, options, {}, &report);
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  EXPECT_TRUE(report.used_jit) << report.fallback_reason;
+  EXPECT_EQ(*actual, expected);
+}
+
 TEST_F(CodegenTest, KeepArtifactsLeavesSourceOnDisk) {
   codegen::JitOptions jit;
   jit.keep_artifacts = true;

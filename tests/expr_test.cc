@@ -1,5 +1,6 @@
 // Unit tests for src/expr: AST construction/printing, binding, scalar
-// evaluation, and vectorized evaluation (checked against the scalar oracle).
+// evaluation, and vectorized evaluation — EvalBool's prepass and both forms
+// of the tile program — checked against the scalar oracle.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include "common/random.h"
 #include "expr/expr.h"
 #include "expr/scalar_eval.h"
+#include "expr/tile_program.h"
 #include "expr/vector_eval.h"
 #include "storage/table.h"
 
@@ -48,27 +50,64 @@ class ExprTestFixture : public ::testing::Test {
     ASSERT_TRUE(table_->AddColumn(std::move(s)).ok());
   }
 
-  // Asserts vectorized evaluation matches the scalar oracle on all rows,
-  // exercising several tile boundaries.
-  void CheckAgainstOracle(const Expr& expr) {
-    ASSERT_TRUE(BindExpr(expr, *table_).ok());
+  // Asserts vectorized evaluation matches the scalar oracle on all rows at
+  // tile sizes 1, 7 and 256: EvalBool for a boolean expression, and the
+  // tile program in its all-lanes form and its selection form over a
+  // sparse selection vector and an empty one.
+  void CheckAgainstOracle(const Expr& expr) { CheckOutputs({&expr}); }
+
+  // The same for several expressions compiled into one program, so that
+  // the subtrees they share are computed once.
+  void CheckOutputs(const std::vector<const Expr*>& exprs) {
     ScalarEvaluator oracle(*table_);
-    VectorEvaluator vec(*table_, /*tile_size=*/256);
-    std::vector<int64_t> out(256);
-    std::vector<uint8_t> cmp(256);
-    for (int64_t start = 0; start < kRows; start += 256) {
-      int64_t len = std::min<int64_t>(256, kRows - start);
-      if (expr.IsBoolean()) {
-        vec.EvalBool(expr, start, len, cmp.data());
-        for (int64_t j = 0; j < len; ++j) {
-          ASSERT_EQ(static_cast<int64_t>(cmp[j]), oracle.Eval(expr, start + j))
-              << "row " << start + j << " expr " << expr.ToString();
-        }
+    std::vector<std::vector<int64_t>> expected(exprs.size());
+    for (size_t i = 0; i < exprs.size(); ++i) {
+      ASSERT_TRUE(BindExpr(*exprs[i], *table_).ok());
+      for (int64_t row = 0; row < kRows; ++row) {
+        expected[i].push_back(oracle.Eval(*exprs[i], row));
       }
-      vec.EvalNumeric(expr, start, len, out.data());
-      for (int64_t j = 0; j < len; ++j) {
-        ASSERT_EQ(out[j], oracle.Eval(expr, start + j))
-            << "row " << start + j << " expr " << expr.ToString();
+    }
+    TileProgram program(*table_, exprs);
+    for (int64_t tile : {1, 7, 256}) {
+      VectorEvaluator vec(*table_, tile);
+      TileProgram::Registers regs = program.NewRegisters(tile);
+      std::vector<uint8_t> cmp(tile);
+      std::vector<int32_t> sel(tile);
+      for (int64_t start = 0; start < kRows; start += tile) {
+        const int64_t len = std::min<int64_t>(tile, kRows - start);
+        for (size_t i = 0; i < exprs.size(); ++i) {
+          if (!exprs[i]->IsBoolean()) continue;
+          vec.EvalBool(*exprs[i], start, len, cmp.data());
+          for (int64_t j = 0; j < len; ++j) {
+            ASSERT_EQ(static_cast<int64_t>(cmp[j]), expected[i][start + j])
+                << "EvalBool, tile " << tile << " row " << start + j
+                << " expr " << exprs[i]->ToString();
+          }
+        }
+        program.EvalAll(start, len, /*keep=*/nullptr, &regs);
+        for (size_t i = 0; i < exprs.size(); ++i) {
+          const int64_t* out = program.Output(regs, static_cast<int>(i));
+          for (int64_t j = 0; j < len; ++j) {
+            ASSERT_EQ(out[j], expected[i][start + j])
+                << "all lanes, tile " << tile << " row " << start + j
+                << " expr " << exprs[i]->ToString();
+          }
+        }
+        // Every third lane, from a tile-dependent offset.
+        int32_t n = 0;
+        for (int64_t j = start % 3; j < len; j += 3) {
+          sel[n++] = static_cast<int32_t>(j);
+        }
+        program.EvalSel(start, sel.data(), n, /*lanes_kept=*/true, &regs);
+        for (size_t i = 0; i < exprs.size(); ++i) {
+          const int64_t* out = program.Output(regs, static_cast<int>(i));
+          for (int32_t k = 0; k < n; ++k) {
+            ASSERT_EQ(out[k], expected[i][start + sel[k]])
+                << "selection, tile " << tile << " row " << start + sel[k]
+                << " expr " << exprs[i]->ToString();
+          }
+        }
+        program.EvalSel(start, sel.data(), 0, /*lanes_kept=*/true, &regs);
       }
     }
   }
@@ -166,6 +205,15 @@ TEST_F(ExprTestFixture, LogicalOperators) {
   CheckAgainstOracle(
       *And(And(Lt(Col("x"), Lit(80)), Gt(Col("x"), Lit(10))),
            Or(Eq(Col("b"), Lit(3)), Eq(Col("b"), Lit(4)))));
+  // A logical node under NOT under AND: every nested OR/AND must use its
+  // own scratch buffer, not the one holding its ancestor's rhs.
+  CheckAgainstOracle(*And(Ge(Col("y"), Lit(-107)),
+                          Not(Or(Ge(Col("x"), Lit(13)),
+                                 Lt(Col("y"), Lit(-36))))));
+  CheckAgainstOracle(*Or(Lt(Col("x"), Lit(3)),
+                         Not(And(InList(Col("b"), {1, 2, 3}),
+                                 Or(Gt(Col("y"), Lit(0)),
+                                    Lt(Col("a"), Lit(500)))))));
 }
 
 TEST_F(ExprTestFixture, BetweenIsInclusive) {
@@ -220,6 +268,68 @@ TEST_F(ExprTestFixture, ScalarShortCircuitGuardsDivision) {
     int64_t v = oracle.Eval(*e, row);
     EXPECT_TRUE(v == 0 || v == 1);
   }
+}
+
+TEST_F(ExprTestFixture, GuardedDivisionNeverTraps) {
+  // b - 1 is 0 on some rows. Each division sits where the oracle skips it
+  // on those rows (the right side of AND, a CASE arm), so every form must
+  // answer too: the prepass and the all-lanes form divide every lane.
+  ExprPtr guard = And(Gt(Col("b"), Lit(1)),
+                      Gt(Div(Col("a"), Sub(Col("b"), Lit(1))), Lit(-1)));
+  CheckAgainstOracle(*guard);
+  CheckAgainstOracle(*Case(Ne(Sub(Col("b"), Lit(1)), Lit(0)),
+                           Div(Col("a"), Sub(Col("b"), Lit(1))), Lit(0)));
+  CheckAgainstOracle(*Or(Le(Col("b"), Lit(1)),
+                         InList(Div(Col("y"), Sub(Col("b"), Lit(1))),
+                                {0, 1, 2})));
+}
+
+TEST_F(ExprTestFixture, NumericOperandsOfPredicates) {
+  // EvalBool's general comparison, non-column IN and numeric-as-boolean
+  // paths evaluate their operands through a tile program.
+  CheckAgainstOracle(*Lt(Add(Col("x"), Col("y")), Mul(Col("b"), Lit(3))));
+  CheckAgainstOracle(*Ge(Lit(40), Sub(Col("x"), Col("b"))));
+  CheckAgainstOracle(*Lt(Col("x"), Col("y")));  // mixed physical widths
+  CheckAgainstOracle(*InList(Add(Col("x"), Lit(1)), {5, 17, 60}));
+  CheckAgainstOracle(*Not(Eq(Mul(Col("x"), Col("y")), Lit(0))));
+  // A numeric expression in boolean position is a nonzero test.
+  ExprPtr numeric = Case(Lt(Col("y"), Lit(0)), Sub(Col("x"), Lit(50)), Lit(0));
+  ScalarEvaluator oracle(*table_);
+  VectorEvaluator vec(*table_, 256);
+  std::vector<uint8_t> cmp(256);
+  for (int64_t start = 0; start < kRows; start += 256) {
+    const int64_t len = std::min<int64_t>(256, kRows - start);
+    vec.EvalBool(*numeric, start, len, cmp.data());
+    for (int64_t j = 0; j < len; ++j) {
+      ASSERT_EQ(cmp[j], oracle.Eval(*numeric, start + j) != 0 ? 1 : 0)
+          << "row " << start + j;
+    }
+  }
+}
+
+TEST_F(ExprTestFixture, SharedSubtreesAcrossOutputs) {
+  // Q1's shape: a key expression and two aggregates sharing the revenue
+  // product, plus a bare column output, a literal output, and a boolean
+  // term reused under CASE.
+  ExprPtr key = Add(Mul(Col("x"), Lit(2)), Col("b"));
+  ExprPtr rev = Mul(Col("a"), Sub(Lit(100), Col("x")));
+  ExprPtr charge = Mul(Mul(Col("a"), Sub(Lit(100), Col("x"))),
+                       Add(Lit(100), Col("y")));
+  ExprPtr masked = Case(Lt(Col("x"), Lit(30)),
+                        Mul(Col("a"), Sub(Lit(100), Col("x"))),
+                        Mul(Lt(Col("x"), Lit(30)), Col("y")));
+  ExprPtr bare = Col("a");
+  ExprPtr one = Lit(1);
+  ExprPtr like = Mul(Like("s", "PROMO%"), Col("b"));
+  CheckOutputs({key.get(), rev.get(), charge.get(), masked.get(), bare.get(),
+                one.get(), like.get()});
+}
+
+TEST_F(ExprTestFixture, ConstantSubtreesFold) {
+  CheckAgainstOracle(*Add(Mul(Lit(3), Lit(4)), Col("x")));
+  CheckAgainstOracle(*Case(Lt(Lit(1), Lit(2)), Col("y"), Col("x")));
+  CheckAgainstOracle(*InList(Lit(3), {1, 3}));
+  CheckAgainstOracle(*Mul(Not(Gt(Lit(0), Lit(1))), Col("a")));
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Randomized differential testing: generate random tables, random
 // predicate/aggregate expression trees, and random plan shapes, then check
-// that all four strategy engines produce bit-exact results against the
-// reference oracle. This sweeps corners no hand-written test enumerates
-// (deep expression nesting, degenerate selectivities, skewed group counts,
-// empty intermediate results).
+// that all four strategy engines — SWOLE also under each forced
+// aggregation technique — produce bit-exact results against the reference
+// oracle at 1 and 4 threads. This sweeps corners no hand-written test
+// enumerates (deep expression nesting, degenerate selectivities, skewed
+// group counts, empty intermediate results, subtrees shared between the
+// key and several aggregates, zero divisors on rows the plan discards).
 
 #include <gtest/gtest.h>
 
@@ -19,7 +21,8 @@ namespace swole {
 namespace {
 
 // Builds a random table with a mix of physical types. Column c0..c3 are
-// generic values; "fk" references the dim table; "divisor" is >= 1.
+// generic values; "fk" references the dim table; "divisor" is >= 1;
+// "zdiv" holds zeros and is only ever a divisor under a `zdiv <> 0` guard.
 struct FuzzData {
   Catalog catalog;
   int64_t dim_rows;
@@ -63,13 +66,17 @@ std::unique_ptr<FuzzData> MakeFuzzData(Rng* rng) {
     }
     auto divisor = std::make_unique<Column>(
         "divisor", ColumnType::Int(PhysicalType::kInt8));
+    auto zdiv = std::make_unique<Column>(
+        "zdiv", ColumnType::Int(PhysicalType::kInt16));
     auto fk = std::make_unique<Column>(
         "fk", ColumnType::Int(PhysicalType::kInt32));
     for (int64_t i = 0; i < rows; ++i) {
       divisor->Append(rng->UniformInt(1, 9));
+      zdiv->Append(rng->UniformInt(-3, 3));
       fk->Append(rng->UniformInt(0, data->dim_rows - 1));
     }
     fact->AddColumn(std::move(divisor)).CheckOK();
+    fact->AddColumn(std::move(zdiv)).CheckOK();
     fact->AddColumn(std::move(fk)).CheckOK();
     Result<FkIndex> index =
         FkIndex::Build(fact->ColumnRef("fk"), dim->ColumnRef("d_pk"));
@@ -82,23 +89,32 @@ std::unique_ptr<FuzzData> MakeFuzzData(Rng* rng) {
   return data;
 }
 
-// Random numeric expression over fact columns. Division is restricted to
-// the strictly positive "divisor" column so pullup evaluation is safe.
+ExprPtr RandomPredicate(Rng* rng, int depth);
+
+// Random numeric expression over fact columns. Division outside the
+// guarded aggregate of RandomPlan is by the strictly positive "divisor"
+// column. CASE and boolean-as-numeric terms mask values the way the
+// paper's value masking does.
 ExprPtr RandomNumeric(Rng* rng, int depth) {
   if (depth <= 0 || rng->Bernoulli(0.4)) {
     if (rng->Bernoulli(0.3)) return Lit(rng->UniformInt(-20, 20));
     return Col(StringFormat("c%lld",
                             static_cast<long long>(rng->NextBounded(4))));
   }
-  switch (rng->NextBounded(4)) {
+  switch (rng->NextBounded(6)) {
     case 0:
       return Add(RandomNumeric(rng, depth - 1), RandomNumeric(rng, depth - 1));
     case 1:
       return Sub(RandomNumeric(rng, depth - 1), RandomNumeric(rng, depth - 1));
     case 2:
       return Mul(RandomNumeric(rng, depth - 1), RandomNumeric(rng, depth - 1));
-    default:
+    case 3:
       return Div(RandomNumeric(rng, depth - 1), Col("divisor"));
+    case 4:
+      return Case(RandomPredicate(rng, 1), RandomNumeric(rng, depth - 1),
+                  RandomNumeric(rng, depth - 1));
+    default:
+      return Mul(RandomNumeric(rng, depth - 1), RandomPredicate(rng, 1));
   }
 }
 
@@ -151,23 +167,72 @@ QueryPlan RandomPlan(Rng* rng, int64_t dim_rows) {
     }
     plan.dims.push_back(std::move(dim));
   }
+  // One subtree reused by two aggregates and, in grouped plans, possibly
+  // by the key: the tile program computes it once per tile.
+  ExprPtr shared = RandomNumeric(rng, 1);
   if (rng->Bernoulli(0.5)) {
-    plan.group_by = rng->Bernoulli(0.5)
-                        ? Col("fk")
-                        : RandomNumeric(rng, 1);
+    plan.group_by = rng->Bernoulli(0.4)   ? Col("fk")
+                    : rng->Bernoulli(0.5) ? shared->Clone()
+                                          : RandomNumeric(rng, 1);
     plan.group_cardinality_hint = dim_rows;
   }
-  int naggs = static_cast<int>(rng->UniformInt(1, 3));
+  // 1-10 aggregates: the group updates unroll up to 8 and loop above.
+  const int naggs = static_cast<int>(rng->UniformInt(1, 10));
+  const int shared_a = static_cast<int>(rng->NextBounded(naggs));
+  const int shared_b = static_cast<int>(rng->NextBounded(naggs));
   for (int a = 0; a < naggs; ++a) {
-    if (rng->Bernoulli(0.25)) {
-      plan.aggs.emplace_back(AggKind::kCount, nullptr,
-                             StringFormat("agg%d", a));
+    std::string name = StringFormat("agg%d", a);
+    if (a == shared_a || a == shared_b) {
+      plan.aggs.emplace_back(AggKind::kSum,
+                             a == shared_a ? shared->Clone()
+                                           : Add(shared->Clone(),
+                                                 RandomNumeric(rng, 1)),
+                             std::move(name));
+    } else if (rng->Bernoulli(0.2)) {
+      plan.aggs.emplace_back(AggKind::kCount, nullptr, std::move(name));
     } else {
       plan.aggs.emplace_back(AggKind::kSum, RandomNumeric(rng, 2),
-                             StringFormat("agg%d", a));
+                             std::move(name));
     }
   }
+  // A divisor that is zero on some rows, guarded by a top-level conjunct:
+  // every row the plan keeps divides by a nonzero value, while the pullup
+  // forms divide the rows it discards too.
+  if (rng->Bernoulli(0.3)) {
+    ExprPtr guard = Ne(Col("zdiv"), Lit(0));
+    plan.fact_filter = plan.fact_filter == nullptr
+                           ? std::move(guard)
+                           : And(std::move(guard),
+                                 std::move(plan.fact_filter));
+    plan.aggs.emplace_back(AggKind::kSum,
+                           Div(RandomNumeric(rng, 1), Col("zdiv")),
+                           StringFormat("agg%d", naggs));
+  }
   return plan;
+}
+
+// Every engine configuration a plan runs under: the four strategies, SWOLE
+// also under each forced aggregation technique, at 1 and 4 threads.
+std::vector<std::pair<StrategyKind, StrategyOptions>> EngineConfigs() {
+  std::vector<std::pair<StrategyKind, StrategyOptions>> configs;
+  for (int threads : {1, 4}) {
+    StrategyOptions options;
+    options.tile_size = 128;  // many tile boundaries at fuzz scale
+    options.num_threads = threads;
+    for (StrategyKind kind :
+         {StrategyKind::kDataCentric, StrategyKind::kHybrid,
+          StrategyKind::kRof, StrategyKind::kSwole}) {
+      configs.emplace_back(kind, options);
+    }
+    for (StrategyOptions::ForceAgg force :
+         {StrategyOptions::ForceAgg::kValueMasking,
+          StrategyOptions::ForceAgg::kKeyMasking,
+          StrategyOptions::ForceAgg::kHybridFallback}) {
+      options.force_agg = force;
+      configs.emplace_back(StrategyKind::kSwole, options);
+    }
+  }
+  return configs;
 }
 
 class FuzzDifferentialTest : public ::testing::TestWithParam<int> {};
@@ -183,17 +248,15 @@ TEST_P(FuzzDifferentialTest, EnginesMatchOracleOnRandomPlans) {
     ASSERT_TRUE(expected.ok())
         << expected.status().ToString() << "\n" << plan.ToString();
 
-    for (StrategyKind kind :
-         {StrategyKind::kDataCentric, StrategyKind::kHybrid,
-          StrategyKind::kRof, StrategyKind::kSwole}) {
-      StrategyOptions options;
-      options.tile_size = 128;  // many tile boundaries at fuzz scale
+    for (const auto& [kind, options] : EngineConfigs()) {
       std::unique_ptr<Strategy> engine =
           MakeStrategy(kind, data->catalog, options);
       Result<QueryResult> actual = engine->Execute(plan);
       ASSERT_TRUE(actual.ok()) << actual.status().ToString();
       ASSERT_EQ(*actual, *expected)
-          << "strategy " << engine->name() << " diverges on\n"
+          << "strategy " << engine->name() << " (forced agg "
+          << static_cast<int>(options.force_agg) << ", "
+          << options.num_threads << " threads) diverges on\n"
           << plan.ToString() << "\nexpected:\n"
           << expected->ToString() << "actual:\n"
           << actual->ToString();

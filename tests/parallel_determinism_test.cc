@@ -261,9 +261,10 @@ TEST(JoinModeMergeTest, SlotMergeMatchesSerialMerge) {
       for (JoinState* state : {&slotwise, &serial}) {
         GroupTable* table = state->worker(w);
         if (batch % 2 == 0) {
-          table->UpdateJoinMasked(keys.data(), values, mask.data(), kTile);
+          table->UpdateJoinMasked(keys.data(), values.data(), mask.data(),
+                                  kTile);
         } else {
-          table->UpdateJoinSel(keys.data(), values,
+          table->UpdateJoinSel(keys.data(), values.data(),
                                static_cast<int32_t>(kTile),
                                /*prefetch=*/batch % 4 == 1);
         }
