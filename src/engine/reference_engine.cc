@@ -234,10 +234,11 @@ Result<QueryResult> ReferenceEngine::ExecuteGoverned(
 
   // Drains a shard's accumulated groups to disk and releases their charge.
   auto spill_shard = [&](Shard& shard) {
+    exec::SpillManager::Batch batch(*spill);
     for (const auto& [key, aggs] : shard.groups) {
-      exec::ThrowIfError(spill->SpillRow(key, aggs.data()));
+      exec::ThrowIfError(batch.Add(key, aggs.data()));
     }
-    spill->NoteSpillEvent();
+    exec::ThrowIfError(batch.Finish());
     if (shard.charged > 0) {
       qctx->TryCharge(-shard.charged * group_bytes, "reference_groups");
       shard.charged = 0;
@@ -423,8 +424,10 @@ Result<QueryResult> ReferenceEngine::ExecuteGoverned(
   if (spill != nullptr && spill->spilled()) {
     // Partitioned rebuild: drain the residual, then merge partitions as
     // morsels on the shared pool. Partitions hold disjoint key sets and
-    // every per-kind combine is associative and commutative, so the final
-    // key sort makes the result bit-identical to the in-memory path.
+    // every per-kind combine is associative and commutative, so ordering
+    // the merged groups through a std::map makes the result bit-identical
+    // to the in-memory path. The oracle orders its groups without the
+    // engines' radix sort, so a bug there cannot hide behind it.
     obs::SpanScope spill_span(trace, "spill-merge");
     spill_shard(*shards[0]);
     exec::ThrowIfError(spill->Flush());
@@ -463,13 +466,14 @@ Result<QueryResult> ReferenceEngine::ExecuteGoverned(
       }
       result.agg_names = {"group_count"};
     } else {
-      result.num_aggs = num_aggs;
+      std::map<int64_t, const int64_t*> ordered;
       for (const auto& rows : partition_rows) {
         for (size_t i = 0; i < rows.size(); i += stride) {
-          result.AddGroup(rows[i], rows.data() + i + 1);
+          ordered.emplace(rows[i], rows.data() + i + 1);
         }
       }
-      result.SortGroups();
+      result.num_aggs = num_aggs;
+      for (const auto& [key, aggs] : ordered) result.AddGroup(key, aggs);
     }
     return result;
   }
@@ -488,9 +492,7 @@ Result<QueryResult> ReferenceEngine::ExecuteGoverned(
       result.AddGroup(key, aggs.data());
     }
   }
-  // std::map iteration is already key-ordered; SortGroups is a no-op kept
-  // for uniformity.
-  result.SortGroups();
+  // std::map iteration is already key-ordered.
   return result;
 }
 

@@ -80,6 +80,13 @@ SpillMetrics& Metrics() {
   return *metrics;
 }
 
+// A partition writer's first I/O error wins: every later append or close
+// reports it.
+Status AlreadyFailed(const std::string& path, const std::string& error) {
+  return Status::IOError(StringFormat("spill run %s already failed: %s",
+                                      path.c_str(), error.c_str()));
+}
+
 }  // namespace
 
 SpillConfig SpillConfig::FromEnv() {
@@ -191,53 +198,103 @@ Status SpillManager::FlushBlock(PartitionWriter& writer) {
   return Status::OK();
 }
 
-Status SpillManager::AppendRow(PartitionWriter& writer, int64_t key,
-                               const int64_t* payload) {
+Status SpillManager::AppendStaged(PartitionWriter& writer,
+                                  const int64_t* rows, int64_t num_rows) {
   std::lock_guard<std::mutex> lock(writer.mu);
   if (!writer.failed_error.empty()) {
-    return Status::IOError(
-        StringFormat("spill run %s already failed: %s", writer.path.c_str(),
-                     writer.failed_error.c_str()));
+    return AlreadyFailed(writer.path, writer.failed_error);
   }
-  writer.buffer.push_back(key);
-  writer.buffer.insert(writer.buffer.end(), payload,
-                       payload + payload_width_);
-  if (static_cast<int64_t>(writer.buffer.size()) >=
-      kBlockRows * (1 + payload_width_)) {
-    Status st = FlushBlock(writer);
-    if (!st.ok()) {
-      writer.failed_error = std::string(st.message());
-      return st;
+  const int64_t row_width = 1 + payload_width_;
+  const size_t block_words = static_cast<size_t>(kBlockRows * row_width);
+  writer.buffer.reserve(block_words);
+  // Blocks stay kBlockRows rows whatever the stage size: a stage that
+  // straddles a block boundary completes one block and starts the next.
+  while (num_rows > 0) {
+    const int64_t room =
+        kBlockRows - static_cast<int64_t>(writer.buffer.size()) / row_width;
+    const int64_t take = std::min(num_rows, room);
+    writer.buffer.insert(writer.buffer.end(), rows, rows + take * row_width);
+    rows += take * row_width;
+    num_rows -= take;
+    if (writer.buffer.size() == block_words) {
+      Status st = FlushBlock(writer);
+      if (!st.ok()) {
+        writer.failed_error = std::string(st.message());
+        return st;
+      }
     }
   }
   return Status::OK();
 }
 
-Status SpillManager::SpillTable(const HashTable& table, int64_t skip_key) {
-  SWOLE_RETURN_NOT_OK(EnsureScratchDir());
-  Status status;
-  table.ForEach([&](int64_t key, const int64_t* payload) {
-    if (key == skip_key || !status.ok()) return;
-    status = AppendRow(*writers_[RadixDigit(key, 0)], key, payload);
-  });
-  SWOLE_RETURN_NOT_OK(status);
-  spill_events_.fetch_add(1, std::memory_order_acq_rel);
+SpillManager::Batch::Batch(SpillManager& manager)
+    : Batch(manager, /*writers=*/nullptr, /*depth=*/0) {}
+
+SpillManager::Batch::Batch(SpillManager& manager, Writers* writers, int depth)
+    : manager_(manager),
+      writers_(writers),
+      depth_(depth),
+      width_(1 + manager.payload_width_),
+      stage_(static_cast<size_t>(manager.config_.num_partitions) *
+             kStageRows * width_),
+      staged_(manager.config_.num_partitions, 0) {}
+
+Status SpillManager::Batch::Add(int64_t key, const int64_t* payload) {
+  const int p = manager_.RadixDigit(key, depth_);
+  int64_t* row = stage_.data() + (p * kStageRows + staged_[p]) * width_;
+  row[0] = key;
+  std::memcpy(row + 1, payload, (width_ - 1) * sizeof(int64_t));
+  if (++staged_[p] < kStageRows) return Status::OK();
+  return AppendStage(p);
+}
+
+Status SpillManager::Batch::AppendStage(int partition) {
+  if (writers_ == nullptr) {
+    // The first append of a depth-0 batch creates the scratch dir; after
+    // it, manager_.writers_ never changes until the manager dies.
+    SWOLE_RETURN_NOT_OK(manager_.EnsureScratchDir());
+    writers_ = &manager_.writers_;
+  }
+  const int64_t rows = staged_[partition];
+  staged_[partition] = 0;
+  return manager_.AppendStaged(
+      *(*writers_)[partition], stage_.data() + partition * kStageRows * width_,
+      rows);
+}
+
+Status SpillManager::Batch::Drain() {
+  for (int p = 0; p < static_cast<int>(staged_.size()); ++p) {
+    if (staged_[p] > 0) SWOLE_RETURN_NOT_OK(AppendStage(p));
+  }
+  return Status::OK();
+}
+
+Status SpillManager::Batch::Finish() {
+  SWOLE_RETURN_NOT_OK(Drain());
+  // An empty batch still counts as a spill, and MergePartition expects the
+  // partition writers of a manager that spilled.
+  SWOLE_RETURN_NOT_OK(manager_.EnsureScratchDir());
+  manager_.spill_events_.fetch_add(1, std::memory_order_acq_rel);
   Metrics().spills.Add(1);
   return Status::OK();
 }
 
-Status SpillManager::SpillRow(int64_t key, const int64_t* payload) {
-  SWOLE_RETURN_NOT_OK(EnsureScratchDir());
-  return AppendRow(*writers_[RadixDigit(key, 0)], key, payload);
-}
-
-void SpillManager::NoteSpillEvent() {
-  spill_events_.fetch_add(1, std::memory_order_acq_rel);
-  Metrics().spills.Add(1);
+Status SpillManager::SpillTable(const HashTable& table, int64_t skip_key) {
+  Batch batch(*this);
+  Status status;
+  table.ForEach([&](int64_t key, const int64_t* payload) {
+    if (key == skip_key || !status.ok()) return;
+    status = batch.Add(key, payload);
+  });
+  SWOLE_RETURN_NOT_OK(status);
+  return batch.Finish();
 }
 
 Status SpillManager::CloseWriter(PartitionWriter& writer) {
   std::lock_guard<std::mutex> lock(writer.mu);
+  if (!writer.failed_error.empty()) {
+    return AlreadyFailed(writer.path, writer.failed_error);
+  }
   SWOLE_RETURN_NOT_OK(FlushBlock(writer));
   if (writer.file == nullptr) return Status::OK();
   SWOLE_FAULT_POINT("spill_flush",
@@ -271,7 +328,7 @@ Status SpillManager::Flush() {
 
 Status SpillManager::ReadRun(
     const std::string& path,
-    const std::function<Status(int64_t, const int64_t*)>& row_fn) {
+    const std::function<Status(const int64_t*, int64_t)>& block_fn) {
   if (::access(path.c_str(), F_OK) != 0) {
     return Status::OK();  // partition never received a row
   }
@@ -324,14 +381,10 @@ Status SpillManager::ReadRun(
           path.c_str(), static_cast<unsigned long long>(block.checksum),
           static_cast<unsigned long long>(computed)));
     }
-    const int row_width = 1 + payload_width_;
-    for (uint32_t r = 0; r < block.num_rows; ++r) {
-      const int64_t* row = rows.data() + static_cast<size_t>(r) * row_width;
-      Status st = row_fn(row[0], row + 1);
-      if (!st.ok()) {
-        std::fclose(file);
-        return st;
-      }
+    Status st = block_fn(rows.data(), block.num_rows);
+    if (!st.ok()) {
+      std::fclose(file);
+      return st;
     }
   }
   std::fclose(file);
@@ -351,16 +404,22 @@ Status SpillManager::RemoveRun(const std::string& path) {
 Status SpillManager::Repartition(const std::string& path, int depth,
                                  std::vector<std::string>* child_paths) {
   Metrics().repartitions.Add(1);
-  std::vector<std::unique_ptr<PartitionWriter>> children(
-      config_.num_partitions);
+  Writers children(config_.num_partitions);
   for (int p = 0; p < config_.num_partitions; ++p) {
     children[p] = std::make_unique<PartitionWriter>();
     children[p]->path = StringFormat("%s.%03d", path.c_str(), p);
     scratch_.Track(children[p]->path);
   }
-  Status status = ReadRun(path, [&](int64_t key, const int64_t* payload) {
-    return AppendRow(*children[RadixDigit(key, depth + 1)], key, payload);
+  const int row_width = 1 + payload_width_;
+  Batch batch(*this, &children, depth + 1);
+  Status status = ReadRun(path, [&](const int64_t* rows, int64_t num_rows) {
+    for (int64_t r = 0; r < num_rows; ++r) {
+      const int64_t* row = rows + r * row_width;
+      SWOLE_RETURN_NOT_OK(batch.Add(row[0], row + 1));
+    }
+    return Status::OK();
   });
+  if (status.ok()) status = batch.Drain();
   for (auto& child : children) {
     Status st = CloseWriter(*child);
     if (!st.ok() && status.ok()) status = st;
@@ -389,13 +448,17 @@ Status SpillManager::RebuildRun(const std::string& path,
     if (ctx_ != nullptr) {
       table.SetMemHook(QueryContext::MemHookThunk, ctx_, kMergeSite);
     }
-    Status st = ReadRun(path, [&](int64_t key, const int64_t* payload) {
-      int64_t before = table.size();
-      int64_t* dst = table.GetOrInsert(key);
-      if (table.size() > before) {
-        std::memcpy(dst, payload, payload_width_ * sizeof(int64_t));
-      } else {
-        merge_fn(dst, payload);
+    const int row_width = 1 + payload_width_;
+    Status st = ReadRun(path, [&](const int64_t* rows, int64_t num_rows) {
+      for (int64_t r = 0; r < num_rows; ++r) {
+        const int64_t* row = rows + r * row_width;
+        int64_t before = table.size();
+        int64_t* dst = table.GetOrInsert(row[0]);
+        if (table.size() > before) {
+          std::memcpy(dst, row + 1, payload_width_ * sizeof(int64_t));
+        } else {
+          merge_fn(dst, row + 1);
+        }
       }
       return Status::OK();
     });

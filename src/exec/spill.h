@@ -19,17 +19,20 @@
 // When a QueryContext refuses a group-table growth charge and spill is
 // enabled (SWOLE_SPILL=auto), the accumulated groups are partitioned by the
 // top radix digits of HashTable::Hash(key) into append-only runs on disk
-// and the in-memory table restarts empty. Because every grouped payload is
-// additive (hash_table.h MergeAdd), a group's final value is the sum of its
-// spilled fragments plus its in-memory remainder — independent of when
-// spills happened or which worker wrote which fragment. The merge phase
-// rebuilds one partition at a time under the same budget (site
-// "spill_merge"), recursively repartitioning any partition that still does
-// not fit (bounded depth, then a structured kSpillFailed), so the
-// degradation ladder is: in-memory → spill → repartition → structured
-// abort. Results stay bit-identical to the in-memory path at every thread
-// count: partitions hold disjoint key sets, and the caller sorts the final
-// group list exactly as the in-memory extract does.
+// and the in-memory table restarts empty. Rows move in blocks: a spilling
+// call stages them per partition (SpillManager::Batch) and appends each
+// full stage to its partition writer under one lock acquisition. Because
+// every grouped payload is additive (hash_table.h MergeAdd), a group's
+// final value is the sum of its spilled fragments plus its in-memory
+// remainder — independent of when spills happened, how they were staged,
+// or which worker wrote which fragment. The merge phase rebuilds one
+// partition at a time under the same budget (site "spill_merge"),
+// recursively repartitioning any partition that still does not fit
+// (bounded depth, then a structured kSpillFailed), so the degradation
+// ladder is: in-memory → spill → repartition → structured abort. Results
+// stay bit-identical to the in-memory path at every thread count:
+// partitions hold disjoint key sets, and the caller sorts the final group
+// list exactly as the in-memory extract does.
 //
 // On-disk format: each run file starts with a 16-byte header {magic
 // "SWSPILL1", payload_width:int32, reserved:int32}, followed by
@@ -83,17 +86,12 @@ class SpillManager {
   SpillManager(const SpillManager&) = delete;
   SpillManager& operator=(const SpillManager&) = delete;
 
-  /// Appends every live entry of `table` except `skip_key` (the key-masking
-  /// throwaway) to the depth-0 partition runs. Thread-safe.
+  class Batch;
+
+  /// Spills every live entry of `table` except `skip_key` (the key-masking
+  /// throwaway) to the depth-0 partition runs through one Batch: one spill
+  /// event. Thread-safe.
   Status SpillTable(const HashTable& table, int64_t skip_key);
-
-  /// Appends one row. Thread-safe. (Reference-engine shards spill from
-  /// std::map state, not a HashTable.)
-  Status SpillRow(int64_t key, const int64_t* payload);
-
-  /// Counts one spill event for callers that spill row-by-row (SpillRow
-  /// does not bump the event counter itself).
-  void NoteSpillEvent();
 
   /// Flushes and closes every partition writer. Call once, after the last
   /// spill and before the first MergePartition.
@@ -136,17 +134,20 @@ class SpillManager {
     std::mutex mu;
     std::string path;
     std::FILE* file = nullptr;
-    std::vector<int64_t> buffer;  // pending rows, row-major
+    std::vector<int64_t> buffer;  // pending rows of one block, row-major
     std::string failed_error;     // first I/O error wins; appends stop
   };
+  using Writers = std::vector<std::unique_ptr<PartitionWriter>>;
 
   // log2(num_partitions); the radix digit at depth d is
   // (Hash(key) >> (64 - bits*(d+1))) & (num_partitions-1).
   int RadixDigit(int64_t key, int depth) const;
 
   Status EnsureScratchDir();
-  Status AppendRow(PartitionWriter& writer, int64_t key,
-                   const int64_t* payload);
+  // Appends `num_rows` row-major rows to `writer` under one acquisition of
+  // writer.mu, writing each block as it reaches kBlockRows rows.
+  Status AppendStaged(PartitionWriter& writer, const int64_t* rows,
+                      int64_t num_rows);
   Status FlushBlock(PartitionWriter& writer);  // writer.mu held
   Status CloseWriter(PartitionWriter& writer);
 
@@ -163,10 +164,12 @@ class SpillManager {
   Status Repartition(const std::string& path, int depth,
                      std::vector<std::string>* child_paths);
 
-  // Reads every block of `path`, verifying checksums, and calls
-  // row_fn(key, payload) per row. Missing file = empty run (OK).
-  Status ReadRun(const std::string& path,
-                 const std::function<Status(int64_t, const int64_t*)>& row_fn);
+  // Reads every block of `path`, verifying checksums, and hands each
+  // verified block to block_fn(rows, num_rows) — row-major (key,
+  // payload[payload_width]) rows. Missing file = empty run (OK).
+  Status ReadRun(
+      const std::string& path,
+      const std::function<Status(const int64_t*, int64_t)>& block_fn);
 
   Status RemoveRun(const std::string& path);
 
@@ -182,12 +185,57 @@ class SpillManager {
 
   std::mutex dir_mu_;
   ScratchDir scratch_;
-  std::vector<std::unique_ptr<PartitionWriter>> writers_;
+  Writers writers_;
 
   std::atomic<int64_t> spill_events_{0};
   std::atomic<int64_t> bytes_written_{0};
   std::atomic<int64_t> rows_spilled_{0};
   std::atomic<int> max_depth_reached_{0};
+};
+
+/// One spilling call's staging. Rows wait per radix partition in a fixed
+/// stage of kStageRows rows; a full stage is appended to its partition
+/// writer under one lock acquisition, so concurrent spillers contend once
+/// per stage, not once per row. A Batch is single-threaded: each spilling
+/// worker uses its own, and any number of Batches may feed one manager at
+/// once. Staging memory is num_partitions x kStageRows x (1 +
+/// payload_width) int64s, whatever the size of the spilled state. Rows
+/// still staged when a Batch is destroyed without Finish() are dropped;
+/// that only happens on a failing spill.
+class SpillManager::Batch {
+ public:
+  static constexpr int64_t kStageRows = 256;
+
+  explicit Batch(SpillManager& manager);
+
+  Batch(const Batch&) = delete;
+  Batch& operator=(const Batch&) = delete;
+
+  /// Stages one row. Fails with the partition writer's I/O error once a
+  /// stage append meets it; a partition's first error wins, and every
+  /// later append to it reports that it already failed.
+  Status Add(int64_t key, const int64_t* payload);
+
+  /// Appends every partially filled stage and counts one spill event.
+  Status Finish();
+
+ private:
+  friend class SpillManager;
+
+  // Stages rows for `writers` (already created) at radix depth `depth`;
+  // Repartition's child runs.
+  Batch(SpillManager& manager, Writers* writers, int depth);
+
+  Status AppendStage(int partition);
+  // Appends every non-empty stage.
+  Status Drain();
+
+  SpillManager& manager_;
+  Writers* writers_;  // null until the manager's scratch dir exists
+  int depth_;
+  int width_;
+  std::vector<int64_t> stage_;  // num_partitions x kStageRows rows
+  std::vector<int64_t> staged_;  // rows staged per partition
 };
 
 }  // namespace swole::exec

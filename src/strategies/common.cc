@@ -1434,6 +1434,14 @@ Result<QueryResult> GroupTable::ExtractSpilled(const QueryPlan& plan,
   Agg0Histogram histogram;
   int64_t merged_groups = 0;
   const size_t stride = 1 + static_cast<size_t>(width);
+  if (!plan.histogram_of_agg0) {
+    size_t total = 0;
+    for (const std::vector<int64_t>& rows : partition_rows) {
+      total += rows.size() / stride;
+    }
+    result.group_keys.reserve(total);
+    result.group_aggs.reserve(total * num_aggs_);
+  }
   for (int p = 0; p < partitions; ++p) {
     const std::vector<int64_t>& rows = partition_rows[p];
     for (size_t i = 0; i < rows.size(); i += stride) {

@@ -4,8 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <numeric>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "exec/hash_table.h"
 #include "plan/plan.h"
 #include "plan/result.h"
 #include "storage/table.h"
@@ -218,6 +227,68 @@ TEST(QueryResultTest, SortGroupsOrdersKeysAndAggsTogether) {
   EXPECT_EQ(result.GroupAgg(0, 0), 20);
   EXPECT_EQ(result.GroupAgg(1, 1), 31);
   EXPECT_EQ(result.GroupAgg(2, 0), 10);
+}
+
+// SortGroups is a radix sort; std::stable_sort of the same rows is the
+// reference for every key shape, size and aggregate count. The aggregates
+// of row i encode i, so they show both that they moved with their key and
+// that equal keys kept their input order.
+TEST(QueryResultTest, SortGroupsMatchesStableSort) {
+  std::mt19937_64 rng(20);
+  using KeyGen = std::function<int64_t(int64_t i, int64_t n)>;
+  const std::vector<std::pair<std::string, KeyGen>> shapes = {
+      {"dense", [](int64_t i, int64_t) { return i; }},
+      {"random64", [&](int64_t, int64_t) {
+         return static_cast<int64_t>(rng());
+       }},
+      {"negative", [&](int64_t, int64_t) {
+         return -1 - static_cast<int64_t>(rng() >> 24);
+       }},
+      {"extremes", [&](int64_t i, int64_t) {
+         const int64_t picks[] = {INT64_MIN, INT64_MAX, HashTable::kMaskKey,
+                                  -1, 0, 1};
+         return i % 2 == 0 ? picks[rng() % 6]
+                           : static_cast<int64_t>(rng());
+       }},
+      {"repeated", [&](int64_t, int64_t) {
+         return static_cast<int64_t>(rng() % 11) - 5;
+       }},
+      {"repeated_wide", [&](int64_t, int64_t n) {
+         return static_cast<int64_t>(rng() % std::max<int64_t>(n / 3, 1)) *
+                    (int64_t{1} << 40) -
+                (int64_t{1} << 50);
+       }},
+  };
+  for (const auto& [shape, gen] : shapes) {
+    for (int64_t n : {0, 1, 2, 255, 256, 257, 100'000}) {
+      std::vector<int64_t> keys(n);
+      for (int64_t i = 0; i < n; ++i) keys[i] = gen(i, n);
+      // Dense keys arrive shuffled, as a hash table emits them.
+      if (shape == "dense") std::shuffle(keys.begin(), keys.end(), rng);
+      std::vector<int64_t> order(n);
+      std::iota(order.begin(), order.end(), 0);
+      std::stable_sort(order.begin(), order.end(),
+                       [&](int64_t a, int64_t b) { return keys[a] < keys[b]; });
+      for (int num_aggs = 0; num_aggs <= 3; ++num_aggs) {
+        QueryResult result;
+        result.grouped = true;
+        result.num_aggs = num_aggs;
+        QueryResult expected = result;
+        std::vector<int64_t> aggs(num_aggs);
+        auto row_aggs = [&](int64_t row) {
+          for (int a = 0; a < num_aggs; ++a) aggs[a] = row * 4 + a;
+          return aggs.data();
+        };
+        for (int64_t i = 0; i < n; ++i) result.AddGroup(keys[i], row_aggs(i));
+        for (int64_t i : order) expected.AddGroup(keys[i], row_aggs(i));
+        result.SortGroups();
+        EXPECT_EQ(result.group_keys, expected.group_keys)
+            << shape << " n=" << n << " aggs=" << num_aggs;
+        EXPECT_EQ(result.group_aggs, expected.group_aggs)
+            << shape << " n=" << n << " aggs=" << num_aggs;
+      }
+    }
+  }
 }
 
 TEST(QueryResultTest, EqualityIgnoresNames) {

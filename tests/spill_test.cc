@@ -3,7 +3,9 @@
 // to the unconstrained run, across every strategy engine, the reference
 // oracle, and the JIT host path, at every thread count. Every spill I/O
 // fault site must surface as a structured Status — never a crash — and no
-// run may strand spill files on disk, fault-injected or not.
+// run may strand spill files on disk, fault-injected or not. The
+// SpillManager unit tests at the end pin the staged appends: stage and
+// block boundaries, concurrent spillers, and a write fault mid-batch.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +14,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "codegen/jit.h"
@@ -21,6 +26,7 @@
 #include "common/fault_injection.h"
 #include "common/status.h"
 #include "engine/reference_engine.h"
+#include "exec/hash_table.h"
 #include "exec/query_context.h"
 #include "exec/spill.h"
 #include "micro/micro.h"
@@ -340,14 +346,16 @@ TEST_F(SpillTest, SpillManagerRoundtripMergesFragments) {
   // must be the fragment sum regardless of arrival order.
   constexpr int64_t kKeys = 1'000;
   for (int64_t pass = 0; pass < 2; ++pass) {
+    SpillManager::Batch batch(spill);
     for (int64_t k = 0; k < kKeys; ++k) {
       int64_t payload[2] = {k + pass, 10 * k};
-      ASSERT_TRUE(spill.SpillRow(k, payload).ok());
+      ASSERT_TRUE(batch.Add(k, payload).ok());
     }
-    spill.NoteSpillEvent();
+    ASSERT_TRUE(batch.Finish().ok());
   }
   ASSERT_TRUE(spill.Flush().ok());
   EXPECT_TRUE(spill.spilled());
+  EXPECT_EQ(spill.spill_events(), 2);
   EXPECT_EQ(spill.rows_spilled(), 2 * kKeys);
   EXPECT_GT(spill.bytes_written(), 2 * kKeys * 3 * 8);
 
@@ -377,11 +385,12 @@ TEST_F(SpillTest, CorruptedSpillBlockFailsChecksumNotCrash) {
   config.enabled = true;
   config.num_partitions = 2;
   SpillManager spill(config, /*payload_width=*/1, /*ctx=*/nullptr);
+  SpillManager::Batch batch(spill);
   for (int64_t k = 0; k < 2'000; ++k) {
     int64_t payload[1] = {k};
-    ASSERT_TRUE(spill.SpillRow(k, payload).ok());
+    ASSERT_TRUE(batch.Add(k, payload).ok());
   }
-  spill.NoteSpillEvent();
+  ASSERT_TRUE(batch.Finish().ok());
   ASSERT_TRUE(spill.Flush().ok());
 
   // Flip one payload byte in every run file on disk, past the 16-byte file
@@ -413,6 +422,220 @@ TEST_F(SpillTest, CorruptedSpillBlockFailsChecksumNotCrash) {
     EXPECT_NE(status.ToString().find("checksum"), std::string::npos)
         << status.ToString();
   }
+}
+
+// ---- SpillManager::Batch: staged appends ----
+
+// Keys 0, 1, 2, ... whose depth-0 radix digit — the top log2(partitions)
+// bits of HashTable::Hash (exec/spill.h) — is `partition`.
+std::vector<int64_t> KeysOfPartition(int partition, int num_partitions,
+                                     int64_t count) {
+  const int bits = __builtin_ctz(static_cast<unsigned>(num_partitions));
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; static_cast<int64_t>(keys.size()) < count; ++k) {
+    if (static_cast<int>(HashTable::Hash(k) >> (64 - bits)) == partition) {
+      keys.push_back(k);
+    }
+  }
+  return keys;
+}
+
+// Bytes one partition's run takes on disk: the file header plus one
+// 16-byte block header per kBlockRows (4096) rows.
+int64_t RunBytes(int64_t rows, int row_width) {
+  if (rows == 0) return 0;
+  const int64_t blocks = (rows + 4095) / 4096;
+  return 16 + 16 * blocks + rows * row_width * 8;
+}
+
+// Merges every partition of `spill` with element-wise addition into a
+// key-ordered map.
+std::map<int64_t, std::vector<int64_t>> MergeAll(SpillManager& spill) {
+  const int width = spill.payload_width();
+  auto merge_fn = [width](int64_t* dst, const int64_t* src) {
+    for (int w = 0; w < width; ++w) dst[w] += src[w];
+  };
+  std::map<int64_t, std::vector<int64_t>> merged;
+  for (int p = 0; p < spill.num_partitions(); ++p) {
+    std::vector<int64_t> rows;
+    Status status = spill.MergePartition(p, merge_fn, &rows);
+    EXPECT_TRUE(status.ok()) << p << ": " << status.ToString();
+    for (size_t i = 0; i < rows.size(); i += 1 + width) {
+      const auto payload = rows.begin() + i + 1;
+      std::vector<int64_t> value(payload, payload + width);
+      bool inserted = merged.emplace(rows[i], std::move(value)).second;
+      EXPECT_TRUE(inserted) << "key " << rows[i] << " merged twice";
+    }
+  }
+  return merged;
+}
+
+TEST_F(SpillTest, StagedAppendsKeepBlockBoundaries) {
+  // Stage-sized counts (kStageRows = 256) and block-sized counts (4096):
+  // every row arrives once and blocks stay 4096 rows, so the bytes on disk
+  // are exactly the header, one block header per 4096 rows, and the rows.
+  for (int64_t rows : {255, 256, 257, 4095, 4096, 4097, 8193}) {
+    SpillConfig config = SpillConfig::FromEnv();
+    config.enabled = true;
+    config.num_partitions = 2;
+    SpillManager spill(config, /*payload_width=*/2, /*ctx=*/nullptr);
+    const std::vector<int64_t> keys0 = KeysOfPartition(0, 2, rows);
+    const std::vector<int64_t> keys1 = KeysOfPartition(1, 2, rows / 2 + 1);
+    SpillManager::Batch batch(spill);
+    for (const auto& keys : {keys0, keys1}) {
+      for (int64_t k : keys) {
+        int64_t payload[2] = {k, 1};
+        ASSERT_TRUE(batch.Add(k, payload).ok()) << rows;
+      }
+    }
+    ASSERT_TRUE(batch.Finish().ok());
+    ASSERT_TRUE(spill.Flush().ok());
+    const int64_t total = rows + rows / 2 + 1;
+    EXPECT_EQ(spill.rows_spilled(), total) << rows;
+    EXPECT_EQ(spill.bytes_written(),
+              RunBytes(rows, 3) + RunBytes(rows / 2 + 1, 3))
+        << rows;
+    EXPECT_EQ(spill.spill_events(), 1);
+    std::map<int64_t, std::vector<int64_t>> merged = MergeAll(spill);
+    ASSERT_EQ(static_cast<int64_t>(merged.size()), total) << rows;
+    for (const auto& [key, payload] : merged) {
+      EXPECT_EQ(payload, (std::vector<int64_t>{key, 1})) << key;
+    }
+  }
+  ExpectNoStrandedSpillFiles();
+}
+
+TEST_F(SpillTest, PartialStagesOfManyBatchesFillWholeBlocks) {
+  // 17 batches of 257 rows into one partition: each Finish appends a
+  // partial stage, and the writer still cuts 4096-row blocks across them.
+  SpillConfig config = SpillConfig::FromEnv();
+  config.enabled = true;
+  config.num_partitions = 4;
+  SpillManager spill(config, /*payload_width=*/1, /*ctx=*/nullptr);
+  constexpr int kBatches = 17;
+  constexpr int64_t kRowsPerBatch = 257;
+  const std::vector<int64_t> keys = KeysOfPartition(3, 4, kRowsPerBatch);
+  for (int b = 0; b < kBatches; ++b) {
+    SpillManager::Batch batch(spill);
+    for (int64_t k : keys) {
+      int64_t payload[1] = {b + 1};
+      ASSERT_TRUE(batch.Add(k, payload).ok());
+    }
+    ASSERT_TRUE(batch.Finish().ok());
+  }
+  ASSERT_TRUE(spill.Flush().ok());
+  EXPECT_EQ(spill.spill_events(), kBatches);
+  EXPECT_EQ(spill.rows_spilled(), kBatches * kRowsPerBatch);
+  EXPECT_EQ(spill.bytes_written(), RunBytes(kBatches * kRowsPerBatch, 2));
+  std::map<int64_t, std::vector<int64_t>> merged = MergeAll(spill);
+  ASSERT_EQ(static_cast<int64_t>(merged.size()), kRowsPerBatch);
+  for (const auto& [key, payload] : merged) {
+    EXPECT_EQ(payload[0], kBatches * (kBatches + 1) / 2) << key;
+  }
+  ExpectNoStrandedSpillFiles();
+}
+
+TEST_F(SpillTest, ConcurrentStagedSpillsMergeToSerialSums) {
+  // Eight workers spill overlapping key ranges into one manager, twice
+  // each, at once: the merged rows must equal the serially computed sums
+  // of every fragment.
+  SpillConfig config = SpillConfig::FromEnv();
+  config.enabled = true;
+  SpillManager spill(config, /*payload_width=*/2, /*ctx=*/nullptr);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 2;
+  constexpr int64_t kKeysPerTable = 20'000;
+  constexpr int64_t kStride = 2'500;
+  std::vector<Status> statuses(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        HashTable table(/*payload_width=*/2, 16);
+        for (int64_t i = 0; i < kKeysPerTable; ++i) {
+          const int64_t key = t * kStride + i;
+          int64_t* payload = table.GetOrInsert(key);
+          payload[0] = key * (round + 1) + t;
+          payload[1] = 1;
+        }
+        Status st = spill.SpillTable(table, HashTable::kMaskKey);
+        if (!st.ok() && statuses[t].ok()) statuses[t] = st;
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(statuses[t].ok()) << t << ": " << statuses[t].ToString();
+  }
+  ASSERT_TRUE(spill.Flush().ok());
+  EXPECT_EQ(spill.spill_events(), kThreads * kRounds);
+  EXPECT_EQ(spill.rows_spilled(), kThreads * kRounds * kKeysPerTable);
+
+  std::map<int64_t, std::vector<int64_t>> expected;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int round = 0; round < kRounds; ++round) {
+      for (int64_t i = 0; i < kKeysPerTable; ++i) {
+        const int64_t key = t * kStride + i;
+        std::vector<int64_t>& sums = expected[key];
+        sums.resize(2, 0);
+        sums[0] += key * (round + 1) + t;
+        sums[1] += 1;
+      }
+    }
+  }
+  EXPECT_EQ(MergeAll(spill), expected);
+  ExpectNoStrandedSpillFiles();
+}
+
+TEST_F(SpillTest, WriteFaultMidBatchFailsPartitionFirstErrorWins) {
+  {
+    SpillConfig config = SpillConfig::FromEnv();
+    config.enabled = true;
+    config.num_partitions = 2;
+    SpillManager spill(config, /*payload_width=*/1, /*ctx=*/nullptr);
+    const std::vector<int64_t> keys = KeysOfPartition(0, 2, 3 * 4096 + 100);
+    FaultInjector::Global().SetFault("spill_write", 1.0);
+    // The first block write happens when the 16th 256-row stage reaches
+    // the writer, at row 4095 — in the middle of the call.
+    SpillManager::Batch batch(spill);
+    Status failure;
+    int64_t failed_at = -1;
+    for (int64_t i = 0; i < static_cast<int64_t>(keys.size()); ++i) {
+      int64_t payload[1] = {1};
+      failure = batch.Add(keys[i], payload);
+      if (!failure.ok()) {
+        failed_at = i;
+        break;
+      }
+    }
+    EXPECT_EQ(failed_at, 4095);
+    EXPECT_EQ(failure.code(), StatusCode::kIOError) << failure.ToString();
+    EXPECT_NE(failure.ToString().find("injected fault: spill_write"),
+              std::string::npos)
+        << failure.ToString();
+
+    // The partition keeps its first error: later appends, from this or
+    // another batch, and the final flush all report it.
+    FaultInjector::Global().ClearAll();
+    SpillManager::Batch later(spill);
+    Status again;
+    for (int64_t i = 0; i < 256 && again.ok(); ++i) {
+      int64_t payload[1] = {1};
+      again = later.Add(keys[i], payload);
+    }
+    EXPECT_EQ(again.code(), StatusCode::kIOError);
+    EXPECT_NE(again.ToString().find("already failed"), std::string::npos)
+        << again.ToString();
+    EXPECT_NE(again.ToString().find("spill_write"), std::string::npos)
+        << again.ToString();
+    Status flushed = spill.Flush();
+    EXPECT_FALSE(flushed.ok());
+    EXPECT_NE(flushed.ToString().find("already failed"), std::string::npos)
+        << flushed.ToString();
+  }
+  // The failed run file was created before the write failed; the
+  // manager's scratch dir removes it.
+  ExpectNoStrandedSpillFiles();
 }
 
 }  // namespace
